@@ -20,10 +20,10 @@
 // fewer than 4 cores, where the ratio measures the scheduler instead.
 // The raw scaling factor is also exported as an advisory gauge.
 //
-// Leg C: the stream server end to end — a ping flood through serve_stream
-// with a bounded queue. Every request must be answered exactly once, in
-// order (the verdict); the sustained request rate bounds the protocol +
-// queue overhead per call. The metrics plane must have recorded exactly
+// Leg C: the stream server end to end — a ping flood through serve_stream,
+// one request in flight at a time. Every request must be answered exactly
+// once, in order (the verdict); the sustained request rate bounds the
+// protocol overhead per call. The metrics plane must have recorded exactly
 // one end-to-end latency sample per ping (a deterministic verdict), and
 // the observed p50/p99 are exported as advisory gauges.
 //
@@ -207,15 +207,13 @@ int main() {
               scaling_ge4 ? "yes" : "NO",
               hw < 4 ? " (waived: fewer than 4 cores)" : "");
 
-  // ---- Leg C: stream server ping flood through the bounded queue. ------
-  bench::print_section("stream server (ping flood, bounded queue)");
+  // ---- Leg C: stream server ping flood. ---------------------------------
+  bench::print_section("stream server (ping flood)");
   const int kPings = 2000;
   std::string input;
   for (int i = 0; i < kPings; ++i)
     input += "{\"id\":" + std::to_string(i) + ",\"method\":\"ping\"}\n";
-  serve::ServerOptions options;
-  options.threads = pool;
-  options.queue_capacity = 64;
+  const serve::ServerOptions options;
 
   // One flood through a fresh service; answers must come back exactly
   // once, in order. Returns wall time.
@@ -253,8 +251,8 @@ int main() {
           .snapshot();
   bool metrics_complete =
       ping_latency.count == static_cast<std::uint64_t>(kPings);
-  std::printf("%d pings over %u threads: %.1f ms (%.0f req/s)\n",
-              kPings, pool, flood_ms, 1000.0 * kPings / flood_ms);
+  std::printf("%d pings: %.1f ms (%.0f req/s)\n", kPings, flood_ms,
+              1000.0 * kPings / flood_ms);
   std::printf("request_ns p50/p99/max: %llu / %llu / %llu ns\n",
               static_cast<unsigned long long>(ping_latency.quantile(0.50)),
               static_cast<unsigned long long>(ping_latency.quantile(0.99)),

@@ -173,8 +173,17 @@ private:
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Containers nest by recursion: cap the depth so a hostile
+        // document cannot overflow the stack.
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::String;
@@ -327,8 +336,11 @@ private:
     return v;
   }
 
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

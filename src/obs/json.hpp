@@ -70,8 +70,8 @@ public:
   }
 };
 
-/// Parse a complete JSON document; throws ParseError on malformed input or
-/// trailing garbage.
+/// Parse a complete JSON document; throws ParseError on malformed input,
+/// trailing garbage, or containers nested more than 256 deep.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace perftrack::obs

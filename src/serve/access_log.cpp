@@ -32,7 +32,6 @@ void write_record_fields(obs::JsonWriter& json, const RequestRecord& record) {
   if (!record.study.empty()) json.key("study").value(record.study);
   json.key("outcome").value(record.outcome);
   json.key("parse_us").value(to_us(record.parse_ns));
-  json.key("queue_us").value(to_us(record.queue_ns));
   json.key("lock_us").value(to_us(record.lock_ns));
   json.key("handler_us").value(to_us(record.handler_ns));
   json.key("write_us").value(to_us(record.write_ns));

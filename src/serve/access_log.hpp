@@ -5,26 +5,26 @@
 // the transport:
 //
 //   {"ts_ms":1722470000123,"id":7,"method":"regions","study":"wrf",
-//    "outcome":"ok","parse_us":12,"queue_us":3,"lock_us":85,
-//    "handler_us":912,"write_us":6,"total_us":948}
+//    "outcome":"ok","parse_us":12,"lock_us":85,"handler_us":912,
+//    "write_us":6,"total_us":945}
 //
 // `id` is the request's raw JSON id (number or string) echoed verbatim,
 // `outcome` is "ok" or the protocol error code, and the *_us fields are
 // the phase breakdown the metrics histograms aggregate — the access log
 // is the per-request view of the same decomposition. Rejected requests
-// (bad JSON, overload, draining) appear too, with the phases they never
+// (overlong or bad JSON, draining) appear too, with the phases they never
 // reached at 0.
 //
 // Slow-request capture: with a threshold set (perftrackd --slow-ms N), a
 // request whose total exceeds it gets a second line, "slow":true, that
 // embeds the request's span tree — the telemetry spans recorded on the
-// handler thread during the request window (serve_request -> endpoint ->
+// connection's thread during the request window (serve_request -> endpoint ->
 // session/pipeline stages), with per-span wall time. Telemetry recording
 // must be on for spans to appear; perftrackd enables it when --slow-ms
 // is given. Threshold 0 dumps every request (handy in tests).
 //
 // Thread safety: writes are serialized by an internal mutex; each record
-// is one write() call so concurrent handlers never interleave lines.
+// is one write() call so concurrent connections never interleave lines.
 
 #include <cstdint>
 #include <mutex>
@@ -40,7 +40,6 @@ struct RequestRecord {
   std::string study;
   std::string outcome;  ///< "ok" or the protocol error code
   std::uint64_t parse_ns = 0;
-  std::uint64_t queue_ns = 0;
   std::uint64_t lock_ns = 0;
   std::uint64_t handler_ns = 0;
   std::uint64_t write_ns = 0;

@@ -1,13 +1,14 @@
 #pragma once
 // Dispatcher: what a transport needs from a request sink.
 //
-// The server layer (serve/server.hpp) owns the bounded queue, the ordered
-// writer and the sockets; it does not care whether requests land in a
-// local TrackingService or are proxied to worker daemons by the shard
-// front (serve/shard.hpp). This interface is that seam: one dispatch()
-// call maps one parsed request to one response, thread-safely, and the
-// few service-level hooks the transports use — drain signalling, the
-// live metrics plane, queue-stats injection, the idle sweeper — travel
+// The server layer (serve/server.hpp) owns the sockets, the connection
+// threads and the open-connection cap; it does not care whether requests
+// land in a local TrackingService or are proxied to worker daemons by the
+// shard front (serve/shard.hpp). This interface is that seam: one
+// dispatch() call maps one parsed request to one response, thread-safely
+// (each connection calls it from its own thread), and the few
+// service-level hooks the transports use — drain signalling, the live
+// metrics plane, connection-stats injection, the idle sweeper — travel
 // with it. TrackingService and ShardFront both implement it, so every
 // transport (stdio, AF_UNIX, TCP) serves either unchanged.
 
@@ -22,14 +23,14 @@ namespace perftrack::serve {
 
 class ServeMetrics;
 
-/// Bounded-queue counters, injected by the server layer so the `stats`
-/// endpoint can report backpressure without the dispatcher owning the
-/// queue.
+/// Open-connection counters of a socket transport, injected by the server
+/// layer so the `stats` endpoint (its `queue` block) can report
+/// backpressure without the dispatcher owning the connections.
 struct QueueStats {
-  std::size_t capacity = 0;
-  std::size_t in_flight = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
+  std::size_t capacity = 0;    ///< open-connection cap (--queue)
+  std::size_t in_flight = 0;   ///< open connections
+  std::uint64_t admitted = 0;  ///< connections accepted
+  std::uint64_t rejected = 0;  ///< connections refused as `overloaded`
 };
 
 class Dispatcher {
@@ -50,7 +51,8 @@ public:
   /// The live metrics plane the transports record into.
   virtual ServeMetrics& metrics() = 0;
 
-  /// Installed by the server so `stats` can report queue backpressure.
+  /// Installed by the socket transports so `stats` can report
+  /// open-connection backpressure.
   virtual void set_queue_stats(std::function<QueueStats()> fn) = 0;
 
   /// Run the idle-eviction policy now. Returns sessions evicted.

@@ -39,30 +39,30 @@ ServeMetrics::ServeMetrics(bool enabled) : enabled_(enabled) {
                 "Handler execution time in nanoseconds"),
         });
   }
-  const char* const phases[] = {"parse", "queue_wait", "lock_wait", "write"};
-  obs::Histogram* slots[4];
-  for (int i = 0; i < 4; ++i)
+  const char* const phases[] = {"parse", "lock_wait", "write"};
+  obs::Histogram* slots[3];
+  for (int i = 0; i < 3; ++i)
     slots[i] = &registry_.histogram(
         "perftrackd_phase_ns",
         std::string("phase=\"") + phases[i] + "\"",
         "Request phase breakdown in nanoseconds");
   phase_parse_ = slots[0];
-  phase_queue_wait_ = slots[1];
-  phase_lock_wait_ = slots[2];
-  phase_write_ = slots[3];
+  phase_lock_wait_ = slots[1];
+  phase_write_ = slots[2];
   // Pre-register the occupancy gauges so a scrape before the first
   // request still shows the full catalogue.
   registry_.gauge("perftrackd_queue_depth", "",
-                  "Requests admitted but not yet answered");
+                  "Open connections, each with at most one request in "
+                  "flight");
   registry_.gauge("perftrackd_queue_capacity", "",
-                  "Admission cap of the bounded queue");
+                  "Open-connection cap (--queue)");
   registry_.gauge("perftrackd_studies", "", "Open studies");
   registry_.gauge("perftrackd_resident_sessions", "",
                   "Studies with a live (non-evicted) session");
   registry_.gauge("perftrackd_uptime_seconds", "",
                   "Seconds since the service started");
   registry_.counter("perftrackd_overloaded_total", "",
-                    "Requests rejected by backpressure");
+                    "Connections refused at the open-connection cap");
   registry_.gauge("perftrackd_frame_cache_hits", "",
                   "Frame-cache hits over resident sessions");
   registry_.gauge("perftrackd_frame_cache_misses", "",
@@ -110,7 +110,6 @@ void ServeMetrics::record_phase_ns(Phase phase, std::uint64_t ns) {
   if (!enabled_) return;
   switch (phase) {
     case Phase::Parse: phase_parse_->record(ns); break;
-    case Phase::QueueWait: phase_queue_wait_->record(ns); break;
     case Phase::LockWait: phase_lock_wait_->record(ns); break;
     case Phase::Write: phase_write_->record(ns); break;
   }

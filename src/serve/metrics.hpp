@@ -4,7 +4,7 @@
 //
 // Every request is measured end to end and decomposed into phases:
 //
-//   parse -> queue_wait -> lock_wait -> handler -> write
+//   parse -> lock_wait -> handler -> write
 //
 // and recorded into per-method histograms plus request/error counters.
 // Recording is lock-free (see obs/metrics.hpp); per-method handles
@@ -24,9 +24,12 @@
 //   perftrackd_handler_ns{method=}       histogram  handler execution
 //                                        alone, recorded by the service
 //                                        (fills even without a transport)
-//   perftrackd_phase_ns{phase=}          histogram  parse / queue_wait /
-//                                        lock_wait / write breakdown
-//   perftrackd_queue_depth / _capacity   gauge  backpressure state
+//   perftrackd_phase_ns{phase=}          histogram  parse / lock_wait /
+//                                        write breakdown
+//   perftrackd_queue_depth / _capacity   gauge  open connections / their
+//                                        cap (--queue)
+//   perftrackd_overloaded_total          counter  connections refused at
+//                                        the cap
 //   perftrackd_studies / _resident_sessions  gauge  registry occupancy
 //   perftrackd_uptime_seconds            gauge  since service start
 //   perftrackd_frame_cache_{hits,misses,stores}  gauge  cache totals
@@ -105,7 +108,7 @@ public:
     record_handler_ns(method_metrics(method), ns);
   }
 
-  enum class Phase { Parse, QueueWait, LockWait, Write };
+  enum class Phase { Parse, LockWait, Write };
   void record_phase_ns(Phase phase, std::uint64_t ns);
 
   /// Study-lock acquisition wait: recorded into the phase histogram and
@@ -131,7 +134,6 @@ private:
   obs::MetricsRegistry registry_;
   std::unordered_map<std::string, MethodMetrics> methods_;
   obs::Histogram* phase_parse_;
-  obs::Histogram* phase_queue_wait_;
   obs::Histogram* phase_lock_wait_;
   obs::Histogram* phase_write_;
 };

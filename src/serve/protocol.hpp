@@ -51,7 +51,7 @@ enum class ErrorCode {
   IoFailure,     ///< trace file unreadable / report unwritable
   TrackingFailed,///< clustering/retrack failed (gap budget, bad sequence)
   ReplayFailed,  ///< evicted study cannot be rebuilt (a logged trace is gone)
-  Overloaded,    ///< bounded queue full — rejected before any work; retry
+  Overloaded,    ///< connection cap reached — refused before any work; retry
   ShuttingDown,  ///< drain in progress, no new work accepted
   Internal,      ///< anything else (a bug or an unhandled Error)
 };

@@ -10,13 +10,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <iostream>
 #include <istream>
+#include <map>
+#include <mutex>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -25,70 +26,6 @@
 #include "obs/telemetry.hpp"
 
 namespace perftrack::serve {
-
-// ---------------------------------------------------------------------------
-// BoundedExecutor
-
-BoundedExecutor::BoundedExecutor(std::size_t threads, std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      pool_(ThreadPool::resolve(threads)) {}
-
-BoundedExecutor::~BoundedExecutor() { drain(); }
-
-bool BoundedExecutor::try_submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (in_flight_ >= capacity_) {
-      ++rejected_;
-      return false;
-    }
-    ++in_flight_;
-    ++admitted_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      // Handlers answer errors through the protocol; anything escaping
-      // here is a bug, but it must not take the accounting down with it.
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--in_flight_ == 0) idle_.notify_all();
-  });
-  return true;
-}
-
-void BoundedExecutor::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-QueueStats BoundedExecutor::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return QueueStats{capacity_, in_flight_, admitted_, rejected_};
-}
-
-// ---------------------------------------------------------------------------
-// OrderedWriter
-
-OrderedWriter::OrderedWriter(std::function<void(const std::string&)> sink)
-    : sink_(std::move(sink)) {}
-
-std::uint64_t OrderedWriter::allocate() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return allocated_++;
-}
-
-void OrderedWriter::write(std::uint64_t seq, std::string line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pending_.emplace(seq, std::move(line));
-  for (auto it = pending_.find(emitted_); it != pending_.end();
-       it = pending_.find(emitted_)) {
-    sink_(it->second);
-    pending_.erase(it);
-    ++emitted_;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Shared request loop
@@ -138,8 +75,8 @@ private:
 
 /// Emit the access-log line for a finished request, plus the slow-request
 /// span dump when the request crossed the threshold. `begin_ns`/`end_ns`
-/// bound the handler-thread window the span replay looks at; rejected
-/// requests pass an empty window. Called on whichever thread ran the
+/// bound the handler window the span replay looks at; rejected requests
+/// pass an empty window. Called on the connection's thread, which ran the
 /// request, so current_thread_timeline() sees its spans.
 void log_request(const ServerOptions& options, const RequestRecord& record,
                  std::uint64_t begin_ns, std::uint64_t end_ns) {
@@ -157,19 +94,17 @@ void log_request(const ServerOptions& options, const RequestRecord& record,
   options.access_log->write(access_record_json(record));
 }
 
-/// Read requests off one connection until EOF or a shutdown request.
-/// Parsing and admission happen on the reader thread so rejected requests
-/// (bad JSON, full queue, draining) are answered without touching the
-/// pool; admitted handlers run concurrently and answer through `writer`.
+/// Serve one connection: read a line, answer it through `write`, and only
+/// then read the next, until EOF or a shutdown request. One request is in
+/// flight at a time, so requests run in the order they were sent.
 ///
-/// Every path feeds the live metrics plane: the reader times parse, the
-/// handler task times queue-wait / handler / write and records the
-/// end-to-end latency under the request's method ("invalid" for lines
-/// that never parsed). Rejections count the error without a latency
-/// sample for the phases that never ran.
-void serve_requests(Dispatcher& dispatcher, BoundedExecutor& executor,
+/// Every path feeds the live metrics plane: parse, write and end-to-end
+/// latency are recorded under the request's method ("invalid" for lines
+/// that never parsed). Rejections (overlong or bad lines, draining) count
+/// the error without a latency sample for the phases that never ran.
+void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
                     const std::function<LineRead(std::string&)>& next_line,
-                    OrderedWriter& writer, const ServerOptions& options) {
+                    const std::function<void(const std::string&)>& write) {
   ServeMetrics& metrics = dispatcher.metrics();
   // Per-connection memo of the method's metrics handle: protocol clients
   // overwhelmingly repeat one method down a connection (a reader pool
@@ -181,19 +116,15 @@ void serve_requests(Dispatcher& dispatcher, BoundedExecutor& executor,
   LineRead status;
   while ((status = next_line(line)) != LineRead::Eof) {
     if (status == LineRead::Line && line.empty()) continue;
-    const std::uint64_t seq = writer.allocate();
     const std::uint64_t t_read = obs::now_ns();
 
-    // Rejection path shared by bad-JSON / draining / overloaded: answer,
-    // count, and access-log from the reader thread.
+    // Rejection path shared by overlong / bad-JSON / draining lines:
+    // answer, count, and access-log without dispatching.
     auto reject = [&](const Request& request, const char* method,
                       ErrorCode code, const std::string& message) {
-      PT_COUNTER("serve_requests", 1.0);
-      PT_COUNTER("serve_errors", 1.0);
       metrics.count_request(method);
       metrics.count_error(error_code_name(code));
-      writer.write(seq,
-                   render_response(make_error(request, code, message)) + "\n");
+      write(render_response(make_error(request, code, message)) + "\n");
       const std::uint64_t t_written = obs::now_ns();
       metrics.record_request_ns(method, t_written - t_read);
       RequestRecord record;
@@ -233,61 +164,39 @@ void serve_requests(Dispatcher& dispatcher, BoundedExecutor& executor,
       memo_method = request.method;
       memo_slot = metrics.method_metrics(memo_method);
     }
-    const ServeMetrics::MethodMetrics* slot = memo_slot;
 
-    const bool is_shutdown = request.method == "shutdown";
-    bool admitted = executor.try_submit([&dispatcher, &metrics, &writer,
-                                         &options, seq, request,
-                                         raw_line = line, slot, t_read,
-                                         t_parsed] {
-      const std::uint64_t t_run = obs::now_ns();
-      metrics.record_phase_ns(ServeMetrics::Phase::QueueWait,
-                              t_run - t_parsed);
-      const Response response = dispatcher.dispatch(request, raw_line);
-      const std::uint64_t t_handled = obs::now_ns();
-      const std::uint64_t lock_ns = ServeMetrics::context_lock_wait_ns();
-      writer.write(seq, render_response(response) + "\n");
-      const std::uint64_t t_written = obs::now_ns();
-      metrics.record_phase_ns(ServeMetrics::Phase::Write,
-                              t_written - t_handled);
-      metrics.record_request_ns(slot, t_written - t_read);
+    const Response response = dispatcher.dispatch(request, line);
+    const std::uint64_t t_handled = obs::now_ns();
+    const std::uint64_t lock_ns = ServeMetrics::context_lock_wait_ns();
+    write(render_response(response) + "\n");
+    const std::uint64_t t_written = obs::now_ns();
+    metrics.record_phase_ns(ServeMetrics::Phase::Write, t_written - t_handled);
+    metrics.record_request_ns(memo_slot, t_written - t_read);
 
-      if (options.access_log != nullptr ||
-          t_written - t_read >= options.slow_ns) {
-        RequestRecord record;
-        record.id = request.id;
-        record.method = request.method;
-        record.study = request.study;
-        // A verbatim passthrough (shard front) carries the worker's
-        // outcome opaquely inside raw — log it as proxied, not as an
-        // error of the front's own.
-        record.outcome = !response.raw.empty()
-                             ? "proxied"
-                             : response.ok
-                                   ? "ok"
-                                   : std::string(
-                                         error_code_name(response.code));
-        record.parse_ns = t_parsed - t_read;
-        record.queue_ns = t_run - t_parsed;
-        record.lock_ns = lock_ns;
-        record.handler_ns = t_handled - t_run;
-        record.write_ns = t_written - t_handled;
-        record.total_ns = t_written - t_read;
-        log_request(options, record, t_run, t_written);
-      }
-    });
-    if (!admitted) {
-      if (metrics.enabled())
-        metrics.registry().counter("perftrackd_overloaded_total").add();
-      PT_COUNTER("serve_overloaded", 1.0);
-      reject(request, request.method.c_str(), ErrorCode::Overloaded,
-             "request queue is full (capacity " +
-                 std::to_string(executor.stats().capacity) + "); retry");
-      continue;
+    if (options.access_log != nullptr ||
+        t_written - t_read >= options.slow_ns) {
+      RequestRecord record;
+      record.id = request.id;
+      record.method = request.method;
+      record.study = request.study;
+      // A verbatim passthrough (shard front) carries the worker's outcome
+      // opaquely inside raw — log it as proxied, not as an error of the
+      // front's own.
+      record.outcome =
+          !response.raw.empty()
+              ? "proxied"
+              : response.ok ? "ok"
+                            : std::string(error_code_name(response.code));
+      record.parse_ns = t_parsed - t_read;
+      record.lock_ns = lock_ns;
+      record.handler_ns = t_handled - t_parsed;
+      record.write_ns = t_written - t_handled;
+      record.total_ns = t_written - t_read;
+      log_request(options, record, t_parsed, t_written);
     }
-    // The shutdown response is already queued; stop reading so the caller
-    // can drain. Other connections notice via shutdown_requested().
-    if (is_shutdown) break;
+    // The shutdown response is written; stop reading so the caller can
+    // drain. Other connections notice via shutdown_requested().
+    if (request.method == "shutdown") break;
   }
 }
 
@@ -295,32 +204,25 @@ void serve_requests(Dispatcher& dispatcher, BoundedExecutor& executor,
 
 int serve_stream(Dispatcher& dispatcher, std::istream& in,
                  std::ostream& out, const ServerOptions& options) {
-  BoundedExecutor executor(options.threads, options.queue_capacity);
-  dispatcher.set_queue_stats([&executor] { return executor.stats(); });
-  OrderedWriter writer([&out](const std::string& line) {
-    out << line;
-    out.flush();
-  });
-  {
-    Sweeper sweeper(dispatcher, options.sweep_interval_ms);
-    // The istream transport necessarily buffers the line before the cap
-    // check (getline owns the read loop); the fd transport below enforces
-    // the cap incrementally. Protocol behaviour is identical.
-    const std::size_t cap = options.max_line_bytes;
-    serve_requests(
-        dispatcher, executor,
-        [&in, cap](std::string& line) {
-          if (!std::getline(in, line)) return LineRead::Eof;
-          if (cap != 0 && line.size() > cap) {
-            line.clear();
-            return LineRead::Overlong;
-          }
-          return LineRead::Line;
-        },
-        writer, options);
-    executor.drain();
-  }
-  dispatcher.set_queue_stats(nullptr);
+  Sweeper sweeper(dispatcher, options.sweep_interval_ms);
+  // The istream transport necessarily buffers the line before the cap
+  // check (getline owns the read loop); the fd transport below enforces
+  // the cap incrementally. Protocol behaviour is identical.
+  const std::size_t cap = options.max_line_bytes;
+  serve_requests(
+      dispatcher, options,
+      [&in, cap](std::string& line) {
+        if (!std::getline(in, line)) return LineRead::Eof;
+        if (cap != 0 && line.size() > cap) {
+          line.clear();
+          return LineRead::Overlong;
+        }
+        return LineRead::Line;
+      },
+      [&out](const std::string& line) {
+        out << line;
+        out.flush();
+      });
   return out.good() ? 0 : 1;
 }
 
@@ -449,9 +351,105 @@ bool remove_stale_socket(const std::string& path, const sockaddr_un& address) {
   return true;
 }
 
+/// The open connections of a socket transport, each served on its own
+/// thread, at most `capacity` at a time. A finished thread hands itself to
+/// `finished_`, and reap() joins it there, so closed connections leave no
+/// threads behind until shutdown.
+class Connections {
+public:
+  explicit Connections(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
+  Connections(const Connections&) = delete;
+  Connections& operator=(const Connections&) = delete;
+  ~Connections() { close_all(); }
+
+  /// Serve `fd` on a new thread that runs `serve(fd)` and then closes
+  /// `fd`. Returns false, and leaves `fd` to the caller, when `capacity`
+  /// connections are already open.
+  bool try_open(int fd, const std::function<void(int)>& serve) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (open_.size() >= capacity_) {
+      ++rejected_;
+      return false;
+    }
+    // The new thread's exit path takes mutex_, so it cannot look for its
+    // entry before the emplace below has made it.
+    open_.emplace(fd, std::thread([this, fd, serve] {
+      try {
+        serve(fd);
+      } catch (const std::exception& error) {
+        PT_LOG(Error) << "serve: connection dropped: " << error.what();
+      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto self = open_.find(fd);
+      finished_.push_back(std::move(self->second));
+      // De-register before close: once closed, the fd number can be
+      // reused by a new connection, and close_all() must not shutdown()
+      // someone else's socket.
+      open_.erase(self);
+      ::close(fd);
+      closed_.notify_all();
+    }));
+    ++admitted_;
+    return true;
+  }
+
+  /// Join the threads of connections that have ended.
+  void reap() {
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      done.swap(finished_);
+    }
+    for (std::thread& thread : done) thread.join();
+  }
+
+  /// Stop reading every connection, let each answer the request it is
+  /// running, and join every thread.
+  void close_all() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      // Shut the read side down to stop threads blocked in read(); keep
+      // the write side so in-flight responses still reach the client.
+      for (const auto& [fd, thread] : open_) ::shutdown(fd, SHUT_RD);
+      closed_.wait(lock, [this] { return open_.empty(); });
+    }
+    reap();
+  }
+
+  QueueStats stats() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return QueueStats{capacity_, open_.size(), admitted_, rejected_};
+  }
+
+private:
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::condition_variable closed_;
+  std::map<int, std::thread> open_;   ///< fd -> the thread serving it
+  std::vector<std::thread> finished_;  ///< exited, not yet joined
+  std::uint64_t admitted_ = 0;
+  std::uint64_t rejected_ = 0;
+};
+
+/// Answer a connection beyond the cap with one `overloaded` error line,
+/// before reading anything from it, and close it.
+void refuse(Dispatcher& dispatcher, int fd, std::size_t capacity) {
+  ServeMetrics& metrics = dispatcher.metrics();
+  if (metrics.enabled())
+    metrics.registry().counter("perftrackd_overloaded_total").add();
+  metrics.count_error(error_code_name(ErrorCode::Overloaded));
+  write_all(fd, render_response(make_error(
+                    Request{}, ErrorCode::Overloaded,
+                    "connection limit reached (" + std::to_string(capacity) +
+                        " open, --queue); retry")) +
+                    "\n");
+  ::close(fd);
+}
+
 /// Accept loop shared by the AF_UNIX and TCP transports: signal handling,
-/// one reader thread per connection, one executor for all of them, and a
-/// full drain before returning. Owns (and closes) `listen_fd`.
+/// one thread per connection up to the cap, and a full drain before
+/// returning. Owns (and closes) `listen_fd`.
 int run_socket_server(Dispatcher& dispatcher, int listen_fd,
                       const ServerOptions& options) {
   if (::pipe(g_signal_pipe) != 0) {
@@ -469,19 +467,22 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
   sigemptyset(&ignore.sa_mask);
   ::sigaction(SIGPIPE, &ignore, &old_pipe);
 
-  BoundedExecutor executor(options.threads, options.queue_capacity);
-  dispatcher.set_queue_stats([&executor] { return executor.stats(); });
-
-  std::mutex connections_mutex;
-  std::vector<int> open_fds;
-  std::vector<std::thread> readers;
+  const auto serve_connection = [&dispatcher, &options](int fd) {
+    FdLineReader reader(fd, options.max_line_bytes);
+    serve_requests(
+        dispatcher, options,
+        [&reader](std::string& line) { return reader.next(line); },
+        [fd](const std::string& line) { write_all(fd, line); });
+  };
 
   {
+    Connections connections(options.queue_capacity);
+    dispatcher.set_queue_stats([&connections] { return connections.stats(); });
     Sweeper sweeper(dispatcher, options.sweep_interval_ms);
-    bool draining = false;
-    while (!draining) {
+    while (true) {
       pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
       int ready = ::poll(fds, 2, 200);
+      connections.reap();
       if (dispatcher.shutdown_requested()) break;
       if (ready < 0) {
         if (errno == EINTR) continue;
@@ -490,7 +491,6 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
       }
       if (fds[1].revents & POLLIN) {
         PT_LOG(Info) << "serve: signal received, draining";
-        draining = true;
         break;
       }
       if (!(fds[0].revents & POLLIN)) continue;
@@ -500,46 +500,13 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
         PT_LOG(Warn) << "serve: accept(): " << std::strerror(errno);
         continue;
       }
-      {
-        std::lock_guard<std::mutex> lock(connections_mutex);
-        open_fds.push_back(client);
-      }
-      readers.emplace_back([&dispatcher, &executor, &options, client,
-                            &connections_mutex, &open_fds] {
-        OrderedWriter writer([client](const std::string& line) {
-          write_all(client, line);
-        });
-        FdLineReader reader(client, options.max_line_bytes);
-        serve_requests(
-            dispatcher, executor,
-            [&reader](std::string& line) { return reader.next(line); },
-            writer, options);
-        // This connection's responses may still be in flight; the global
-        // drain is the simple (if coarse) way to flush them before close.
-        executor.drain();
-        {
-          // De-register before close: once closed, the fd number can be
-          // reused by a new connection, and the drain loop must not
-          // shutdown() someone else's socket.
-          std::lock_guard<std::mutex> lock(connections_mutex);
-          open_fds.erase(
-              std::find(open_fds.begin(), open_fds.end(), client));
-        }
-        ::close(client);
-      });
+      if (!connections.try_open(client, serve_connection))
+        refuse(dispatcher, client, options.queue_capacity);
     }
-
-    // Stop readers blocked in read(): shut the read side down, keep the
-    // write side so drained responses still reach the client.
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex);
-      for (int fd : open_fds) ::shutdown(fd, SHUT_RD);
-    }
-    for (std::thread& reader : readers) reader.join();
-    executor.drain();
+    connections.close_all();
+    dispatcher.set_queue_stats(nullptr);
   }
 
-  dispatcher.set_queue_stats(nullptr);
   ::sigaction(SIGTERM, &old_term, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);
   ::sigaction(SIGPIPE, &old_pipe, nullptr);

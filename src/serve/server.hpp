@@ -1,46 +1,41 @@
 #pragma once
-// The daemon engine around TrackingService: bounded concurrency, ordered
-// responses, transports, and graceful drain.
+// The daemon engine around TrackingService: transports, per-connection
+// request order, the open-connection cap, and graceful drain.
 //
-// Request flow:
+// Request flow, on each connection's own thread:
 //
-//   reader thread: getline -> parse -> try_submit ----> BoundedExecutor
-//                                        |                (ThreadPool)
-//                    overloaded error <--+ (queue full)       |
-//                                                             v
-//   OrderedWriter <---------------- response (seq) -----  handler task
+//   read line -> parse -> dispatch -> write response -> read next line
 //
-// * BoundedExecutor caps the requests in flight; an admission beyond the
-//   cap is rejected *on the reader thread* with a typed `overloaded`
-//   error before any tracking work happens — backpressure, not buffering.
-// * OrderedWriter gives each connection HTTP/1.1-pipelining semantics:
-//   handlers run concurrently on the pool, but responses are emitted in
-//   request order (a reorder buffer holds completed responses until their
-//   predecessors finish), so scripted clients can read answers
-//   sequentially without correlating ids.
+// * One request in flight per connection: the next line is read only
+//   after the previous response is written, so a pipelined
+//   `append_experiment` always runs after the `open_study` before it and
+//   responses come back in request order by construction. Parallelism
+//   comes from separate connections.
+// * The socket transports cap open connections at
+//   ServerOptions::queue_capacity (--queue). Connection N+1 is answered
+//   with one typed `overloaded` error line and closed before any of its
+//   requests is read — backpressure, not buffering. Since each connection
+//   has at most one request in flight, the cap also bounds requests in
+//   flight. A connection's thread is joined when the connection ends.
 // * Graceful drain: EOF, a `shutdown` request, SIGTERM or SIGINT stop
-//   admission; every admitted request still completes and flushes before
-//   the serve loop returns. Requests that arrive during the drain get a
-//   typed `shutting-down` error.
+//   reading; every request already read still completes and is answered
+//   before the serve loop returns. Requests that arrive during the drain
+//   get a typed `shutting-down` error.
 //
 // Transports: serve_stream() speaks NDJSON over any istream/ostream pair
-// (perftrackd --stdio, and the unit tests); serve_unix_socket() listens on
-// a local AF_UNIX stream socket and serve_tcp() on a TCP host:port
-// (--listen), each with one reader thread per connection and one executor
-// (one backpressure budget) shared by all of them. Every transport serves
-// a Dispatcher — TrackingService in a plain daemon, ShardFront in a
-// --front daemon — and hands it the raw request line next to the parsed
-// request so a forwarding dispatcher can pass bytes through verbatim.
+// (perftrackd --stdio, and the unit tests) as a single connection on the
+// calling thread; serve_unix_socket() listens on a local AF_UNIX stream
+// socket and serve_tcp() on a TCP host:port (--listen), each with one
+// thread per connection. Every transport serves a Dispatcher —
+// TrackingService in a plain daemon, ShardFront in a --front daemon — and
+// hands it the raw request line next to the parsed request so a
+// forwarding dispatcher can pass bytes through verbatim.
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
-#include <mutex>
 #include <string>
 
-#include "common/thread_pool.hpp"
 #include "serve/access_log.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/service.hpp"
@@ -48,11 +43,10 @@
 namespace perftrack::serve {
 
 struct ServerOptions {
-  /// Worker threads handling requests (0 = hardware concurrency).
-  std::size_t threads = 0;
-
-  /// Max requests admitted but not yet answered; further requests are
-  /// rejected with `overloaded`.
+  /// Max open connections on the socket transports; a further connection
+  /// is sent one `overloaded` error line and closed. Each connection has
+  /// at most one request in flight, so this also caps requests in flight.
+  /// serve_stream() is a single connection and ignores it.
   std::size_t queue_capacity = 64;
 
   /// Period of the idle-study sweeper thread (0 = no sweeper; eviction
@@ -77,70 +71,18 @@ struct ServerOptions {
   std::size_t max_line_bytes = 8u << 20;
 };
 
-/// Fixed-capacity admission gate in front of the shared thread pool.
-class BoundedExecutor {
-public:
-  BoundedExecutor(std::size_t threads, std::size_t capacity);
-
-  /// Drains: every admitted task completes before destruction returns.
-  ~BoundedExecutor();
-
-  /// Admit `task` unless the capacity is reached; returns whether it was
-  /// admitted. Never blocks.
-  bool try_submit(std::function<void()> task);
-
-  /// Block until every admitted task has completed.
-  void drain();
-
-  QueueStats stats() const;
-
-private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t rejected_ = 0;
-  ThreadPool pool_;  ///< declared last: destructor joins while the
-                     ///< counters above are still alive
-};
-
-/// Per-connection reorder buffer: responses are written to the sink in
-/// allocation order, whatever order the handlers finish in. Thread-safe.
-class OrderedWriter {
-public:
-  /// `sink` receives complete NDJSON lines (newline included) in order;
-  /// it is called with the internal mutex held, so it needs no locking of
-  /// its own but must not re-enter the writer.
-  explicit OrderedWriter(std::function<void(const std::string&)> sink);
-
-  /// Allocate the next sequence slot (call on the reader thread, in
-  /// arrival order).
-  std::uint64_t allocate();
-
-  /// Deliver the response for `seq`; flushes every contiguous completed
-  /// response.
-  void write(std::uint64_t seq, std::string line);
-
-private:
-  std::function<void(const std::string&)> sink_;
-  std::mutex mutex_;
-  std::uint64_t allocated_ = 0;
-  std::uint64_t emitted_ = 0;
-  std::map<std::uint64_t, std::string> pending_;
-};
-
-/// Serve NDJSON requests from `in` to `out` until EOF or a `shutdown`
-/// request, then drain. Returns the process exit code (0, or 1 on an
-/// unrecoverable transport error).
+/// Serve NDJSON requests from `in` to `out`, one at a time on the calling
+/// thread, until EOF or a `shutdown` request. Returns the process exit
+/// code (0, or 1 on an unrecoverable transport error).
 int serve_stream(Dispatcher& dispatcher, std::istream& in,
                  std::ostream& out, const ServerOptions& options);
 
 /// Listen on an AF_UNIX stream socket at `path` until SIGTERM/SIGINT or a
-/// `shutdown` request, then drain every connection. A socket file left by
-/// a crashed daemon is probed (connect) and unlinked when dead; a live
-/// daemon's socket, or a non-socket file, is never removed (returns 1).
-/// Returns the process exit code.
+/// `shutdown` request, serving each connection on its own thread, then
+/// drain every connection. A socket file left by a crashed daemon is
+/// probed (connect) and unlinked when dead; a live daemon's socket, or a
+/// non-socket file, is never removed (returns 1). Returns the process exit
+/// code.
 int serve_unix_socket(Dispatcher& dispatcher, const std::string& path,
                       const ServerOptions& options);
 

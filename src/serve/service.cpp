@@ -281,14 +281,13 @@ Response TrackingService::handle_line(const std::string& line) {
   try {
     return handle(parse_request(line));
   } catch (const ServeError& error) {
-    PT_COUNTER("serve_errors", 1.0);
+    metrics_.count_error(error_code_name(error.code()));
     return make_error(Request{}, error.code(), error.what());
   }
 }
 
 Response TrackingService::handle(const Request& request) {
   PT_SPAN("serve_request");
-  PT_COUNTER("serve_requests", 1.0);
 
   // One endpoints_ find resolves the handler, its span literal, and its
   // metrics handle together — the per-request hot path does no string
@@ -314,19 +313,15 @@ Response TrackingService::handle(const Request& request) {
       PT_SPAN(it->second.span);
       return make_result(request, (this->*(it->second.fn))(request));
     } catch (const ServeError& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(error.code()));
       return make_error(request, error.code(), error.what());
     } catch (const ParseError& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(ErrorCode::ParseFailure));
       return make_error(request, ErrorCode::ParseFailure, error.what());
     } catch (const IoError& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(ErrorCode::IoFailure));
       return make_error(request, ErrorCode::IoFailure, error.what());
     } catch (const std::exception& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(ErrorCode::Internal));
       return make_error(request, ErrorCode::Internal, error.what());
     }

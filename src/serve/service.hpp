@@ -4,8 +4,8 @@
 // TrackingService is the transport-free core of perftrackd: one handle()
 // call maps one parsed Request to one Response, and is safe to call from
 // any number of threads concurrently. The server layer (serve/server.hpp)
-// puts a bounded queue and a socket in front of it; tests and benches call
-// it directly.
+// puts sockets in front of it, one thread per connection; tests and
+// benches call it directly.
 //
 // Locking discipline (see registry.hpp): read methods — regions, trends,
 // coverage, stats — take the study lock shared and serve from the cached
@@ -19,7 +19,7 @@
 // Observability: every request runs under a "serve_request" span with a
 // per-endpoint child span ("serve_regions", ...), so the JSON run report
 // carries per-endpoint request counts and wall-time (plus min/max latency)
-// for free, next to serve_requests/serve_errors/serve_evictions counters.
+// for free, next to the serve_evictions/serve_rebuilds counters.
 // Independently of the run-report telemetry, the service owns a live
 // metrics plane (serve/metrics.hpp): per-method latency histograms,
 // request/error counters and occupancy gauges, sampled at any time via
@@ -109,7 +109,8 @@ public:
   /// Failures are logged, not thrown. No-op without a state dir.
   void flush_journals();
 
-  /// Installed by the server so `stats` can report queue backpressure.
+  /// Installed by the socket transports so `stats` can report
+  /// open-connection backpressure.
   void set_queue_stats(std::function<QueueStats()> fn) override {
     queue_stats_ = std::move(fn);
   }

@@ -63,7 +63,6 @@ std::size_t ShardFront::shard_of(const std::string& study,
 Response ShardFront::dispatch(const Request& request,
                               const std::string& raw_line) {
   PT_SPAN("front_request");
-  PT_COUNTER("serve_requests", 1.0);
   const ServeMetrics::MethodMetrics* slot =
       metrics_.method_metrics(request.method);
   metrics_.count_request(slot);
@@ -91,11 +90,9 @@ Response ShardFront::dispatch(const Request& request,
       // daemon's byte for byte.
       return forward(0, raw_line);
     } catch (const ServeError& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(error.code()));
       return make_error(request, error.code(), error.what());
     } catch (const std::exception& error) {
-      PT_COUNTER("serve_errors", 1.0);
       metrics_.count_error(error_code_name(ErrorCode::Internal));
       return make_error(request, ErrorCode::Internal, error.what());
     }

@@ -280,7 +280,7 @@ grep -q '"method":"ping"' access.ndjson
 grep -q '"study":"logged"' access.ndjson
 grep -q '"outcome":"ok"' access.ndjson
 grep -q '"outcome":"unknown-method"' access.ndjson
-for field in ts_ms parse_us queue_us lock_us handler_us write_us total_us; do
+for field in ts_ms parse_us lock_us handler_us write_us total_us; do
   grep -q "\"$field\"" access.ndjson
 done
 if command -v python3 > /dev/null; then

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/studies.hpp"
 #include "tracking/tracker.hpp"
 #include "tracking/trends.hpp"
@@ -19,6 +21,12 @@ struct StudyExpectation {
   std::size_t tracked;
   double coverage;  // fraction
 };
+
+// gtest would otherwise print the raw bytes, pointers included, into the
+// listed test names, which then change with every process's address layout.
+void PrintTo(const StudyExpectation& expected, std::ostream* os) {
+  *os << expected.name;
+}
 
 // Default-argument wrappers (function pointers cannot carry defaults).
 sim::Study make_gadget() { return sim::study_gadget(); }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -70,6 +71,19 @@ TEST(JsonParseTest, MalformedInputThrows) {
   EXPECT_THROW(parse_json("\"unterminated"), ParseError);
   EXPECT_THROW(parse_json("1 trailing"), ParseError);
   EXPECT_THROW(parse_json(""), ParseError);
+}
+
+TEST(JsonParseTest, NestingDeeperThanTheCapThrows) {
+  // A request line of 200k '[' used to overflow the parser's stack.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse_json(nested(256)).is_array());
+  EXPECT_THROW(parse_json(nested(257)), ParseError);
+  EXPECT_THROW(parse_json(std::string(200000, '[')), ParseError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), ParseError);
 }
 
 TEST(JsonRoundTripTest, WriterOutputParsesBack) {

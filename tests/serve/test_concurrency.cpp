@@ -295,10 +295,7 @@ TEST(ServeConcurrencyTest, StreamServerUnderParallelLoadAnswersEverything) {
     input += R"({"id":)" + std::to_string(i) + R"(,"method":"ping"})" "\n";
   std::istringstream in(input);
   std::ostringstream out;
-  ServerOptions options;
-  options.threads = 8;
-  options.queue_capacity = 16;
-  EXPECT_EQ(serve_stream(service, in, out, options), 0);
+  EXPECT_EQ(serve_stream(service, in, out, ServerOptions{}), 0);
 
   // Every request got exactly one answer, in order.
   std::istringstream lines(out.str());

@@ -134,9 +134,14 @@ TEST(ServeMetricsTest, ErrorsAreCountedByCode) {
   TrackingService service(test_config());
   service.handle(req("regions", "never-opened"));
   service.handle(req("no_such_method"));
+  service.handle_line("not json");
   const obs::JsonValue snap = result_of(service.handle(req("metrics")));
   EXPECT_EQ(snap.at("counters")
                 .at("perftrackd_errors_total{code=\"unknown-study\"}")
+                .number,
+            1.0);
+  EXPECT_EQ(snap.at("counters")
+                .at("perftrackd_errors_total{code=\"bad-request\"}")
                 .number,
             1.0);
   EXPECT_EQ(snap.at("counters")
@@ -191,7 +196,7 @@ TEST(ServeMetricsTest, MetricsOffRecordsNothing) {
 
 TEST(ServeMetricsTest, LatencyOverStreamTransportIsEndToEnd) {
   // Through serve_stream the request histograms (not just handler) fill,
-  // and the phase histograms see parse/queue/write.
+  // and the phase histograms see parse/write.
   TrackingService service(test_config());
   std::istringstream in(
       "{\"id\":1,\"method\":\"ping\"}\n"

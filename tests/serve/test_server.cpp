@@ -1,5 +1,6 @@
-// Server engine: bounded admission, ordered responses, the stream
-// transport's drain semantics, and the unix-socket transport end to end.
+// Server engine: per-connection request order, the open-connection cap,
+// the stream transport's drain semantics, and the unix-socket transport
+// end to end.
 
 #include "serve/server.hpp"
 
@@ -15,9 +16,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,9 +39,12 @@ using perftrack::testing::MiniPhase;
 using perftrack::testing::MiniTraceSpec;
 using perftrack::testing::make_mini_trace;
 
-std::string trace_text(const std::string& label, std::uint64_t seed) {
+std::string trace_text(const std::string& label, std::uint64_t seed,
+                       std::uint32_t tasks = 4, int iterations = 6) {
   MiniTraceSpec spec;
   spec.label = label;
+  spec.tasks = tasks;
+  spec.iterations = iterations;
   spec.seed = seed;
   spec.noise = 0.02;
   spec.phases = {MiniPhase{8e6, 1.0, {"p1", "x.c", 1}},
@@ -49,19 +54,25 @@ std::string trace_text(const std::string& label, std::uint64_t seed) {
   return out.str();
 }
 
-std::string append_line(int id, const std::string& study,
-                        const std::string& label, std::uint64_t seed) {
+std::string append_trace_line(int id, const std::string& study,
+                              const std::string& label,
+                              const std::string& trace) {
   obs::JsonWriter json;
   json.begin_object();
   json.key("id").value(static_cast<std::uint64_t>(id));
   json.key("method").value("append_experiment");
   json.key("study").value(study);
   json.key("params").begin_object();
-  json.key("trace").value(trace_text(label, seed));
+  json.key("trace").value(trace);
   json.key("label").value(label);
   json.end_object();
   json.end_object();
   return json.str();
+}
+
+std::string append_line(int id, const std::string& study,
+                        const std::string& label, std::uint64_t seed) {
+  return append_trace_line(id, study, label, trace_text(label, seed));
 }
 
 std::vector<obs::JsonValue> parse_lines(const std::string& text) {
@@ -71,64 +82,6 @@ std::vector<obs::JsonValue> parse_lines(const std::string& text) {
   while (std::getline(in, line))
     if (!line.empty()) out.push_back(obs::parse_json(line));
   return out;
-}
-
-TEST(OrderedWriterTest, FlushesInAllocationOrder) {
-  std::vector<std::string> sunk;
-  OrderedWriter writer([&sunk](const std::string& line) {
-    sunk.push_back(line);
-  });
-  std::uint64_t a = writer.allocate();
-  std::uint64_t b = writer.allocate();
-  std::uint64_t c = writer.allocate();
-  writer.write(c, "C");
-  EXPECT_TRUE(sunk.empty()) << "C must wait for A and B";
-  writer.write(a, "A");
-  ASSERT_EQ(sunk.size(), 1u);
-  EXPECT_EQ(sunk[0], "A");
-  writer.write(b, "B");
-  ASSERT_EQ(sunk.size(), 3u);
-  EXPECT_EQ(sunk[1], "B");
-  EXPECT_EQ(sunk[2], "C");
-}
-
-TEST(BoundedExecutorTest, RejectsBeyondCapacityAndCounts) {
-  BoundedExecutor executor(2, 2);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  auto blocker = [&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release; });
-  };
-  ASSERT_TRUE(executor.try_submit(blocker));
-  ASSERT_TRUE(executor.try_submit(blocker));
-  // Queue full: rejection happens without blocking.
-  EXPECT_FALSE(executor.try_submit([] {}));
-  QueueStats stats = executor.stats();
-  EXPECT_EQ(stats.capacity, 2u);
-  EXPECT_EQ(stats.in_flight, 2u);
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  executor.drain();
-  EXPECT_EQ(executor.stats().in_flight, 0u);
-  // Capacity is free again.
-  EXPECT_TRUE(executor.try_submit([] {}));
-  executor.drain();
-}
-
-TEST(BoundedExecutorTest, TaskExceptionsDoNotPoisonAccounting) {
-  BoundedExecutor executor(1, 4);
-  for (int i = 0; i < 4; ++i)
-    ASSERT_TRUE(executor.try_submit([] { throw std::runtime_error("boom"); }));
-  executor.drain();
-  EXPECT_EQ(executor.stats().in_flight, 0u);
-  EXPECT_EQ(executor.stats().admitted, 4u);
 }
 
 TEST(ServeStreamTest, AnswersEveryLineInOrderAndExitsZeroOnEof) {
@@ -141,13 +94,10 @@ TEST(ServeStreamTest, AnswersEveryLineInOrderAndExitsZeroOnEof) {
   input += R"({"id":4,"method":"ping"})" "\n";
   std::istringstream in(input);
   std::ostringstream out;
-  ServerOptions options;
-  options.threads = 4;
-  EXPECT_EQ(serve_stream(service, in, out, options), 0);
+  EXPECT_EQ(serve_stream(service, in, out, ServerOptions{}), 0);
 
   std::vector<obs::JsonValue> responses = parse_lines(out.str());
   ASSERT_EQ(responses.size(), 4u);
-  // Responses come back in request order even with 4 worker threads.
   EXPECT_DOUBLE_EQ(responses[0].at("id").number, 1.0);
   EXPECT_TRUE(responses[0].at("ok").boolean);
   EXPECT_DOUBLE_EQ(responses[1].at("id").number, 2.0);
@@ -195,36 +145,6 @@ TEST(ServeStreamTest, ShutdownStopsReadingAndDrains) {
   std::string leftover;
   std::getline(in, leftover);
   EXPECT_NE(leftover.find("\"id\":3"), std::string::npos);
-}
-
-TEST(ServeStreamTest, OverloadRejectionIsTypedAndOrdered) {
-  // One inline worker (threads=1 -> inline execution happens on submit, so
-  // force real concurrency pressure with a capacity-1 queue and a slow
-  // handler is racy; instead drive capacity 1 with threads=2 and many
-  // requests — at least none may be lost and every response is one of
-  // ok/overloaded).
-  TrackingService service;
-  std::string input;
-  const int kRequests = 64;
-  for (int i = 0; i < kRequests; ++i)
-    input += R"({"id":)" + std::to_string(i) + R"(,"method":"ping"})" "\n";
-  std::istringstream in(input);
-  std::ostringstream out;
-  ServerOptions options;
-  options.threads = 2;
-  options.queue_capacity = 1;
-  EXPECT_EQ(serve_stream(service, in, out, options), 0);
-
-  std::vector<obs::JsonValue> responses = parse_lines(out.str());
-  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kRequests));
-  for (int i = 0; i < kRequests; ++i) {
-    const obs::JsonValue& r = responses[static_cast<std::size_t>(i)];
-    EXPECT_DOUBLE_EQ(r.at("id").number, static_cast<double>(i))
-        << "responses must stay in request order";
-    if (!r.at("ok").boolean) {
-      EXPECT_EQ(r.at("error").at("code").string, "overloaded");
-    }
-  }
 }
 
 TEST(ServeStreamTest, RequestsAfterShutdownOnOtherConnectionsAreRefused) {
@@ -301,30 +221,36 @@ public:
               static_cast<ssize_t>(framed.size()));
   }
 
-  obs::JsonValue recv() {
-    std::string line;
-    char c;
+  /// The next response line, or nullopt once the server closed the
+  /// connection.
+  std::optional<std::string> recv_line() {
     while (true) {
-      ssize_t n = ::read(fd_, &c, 1);
-      if (n <= 0) break;
-      if (c == '\n') break;
-      line.push_back(c);
+      const std::size_t nl = buffer_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buffer_.substr(0, nl);
+        buffer_.erase(0, nl + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+      if (n <= 0) return std::nullopt;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
     }
-    return obs::parse_json(line);
   }
+
+  obs::JsonValue recv() { return obs::parse_json(recv_line().value_or("")); }
 
 private:
   int fd_ = -1;
+  std::string buffer_;  ///< bytes read past the last returned line
 };
 
 TEST(ServeUnixSocketTest, ServesConcurrentConnectionsAndDrainsOnShutdown) {
   const std::string path =
       (fs::path(::testing::TempDir()) / "pt_serve_test.sock").string();
   TrackingService service;
-  ServerOptions options;
-  options.threads = 4;
   std::thread server([&] {
-    EXPECT_EQ(serve_unix_socket(service, path, options), 0);
+    EXPECT_EQ(serve_unix_socket(service, path, ServerOptions{}), 0);
   });
 
   {
@@ -351,6 +277,129 @@ TEST(ServeUnixSocketTest, ServesConcurrentConnectionsAndDrainsOnShutdown) {
   }
   server.join();
   EXPECT_FALSE(fs::exists(path)) << "socket file removed on clean exit";
+}
+
+TEST(ServeUnixSocketTest, PipelinedRoundsRunInRequestOrderPerConnection) {
+  // Each connection sends 1000 rounds of open_study -> append_experiment
+  // x2 -> regions without waiting for answers, while a reader thread on
+  // the same connection collects them (both sides would otherwise block
+  // on full socket buffers). A round only succeeds when its requests run
+  // in the order they were sent.
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_serve_order.sock").string();
+  TrackingService service;
+  std::thread server([&] {
+    EXPECT_EQ(serve_unix_socket(service, path, ServerOptions{}), 0);
+  });
+
+  constexpr int kConnections = 8;
+  constexpr int kRounds = 1000;
+  constexpr int kPerRound = 4;
+  // The smallest traces that still track: all 8000 studies stay resident
+  // until the server exits.
+  const std::string trace_a = trace_text("A", 1, 2, 3);
+  const std::string trace_b = trace_text("B", 2, 2, 3);
+  auto run_connection = [&](int connection) {
+    UnixClient client(path);
+    int answered = 0;
+    int failed = 0;
+    int out_of_order = 0;
+    std::string first_failure;
+    std::thread reader([&] {
+      for (; answered < kRounds * kPerRound; ++answered) {
+        const std::optional<std::string> line = client.recv_line();
+        if (!line) break;
+        const obs::JsonValue response = obs::parse_json(*line);
+        if (response.at("id").number != static_cast<double>(answered))
+          ++out_of_order;
+        if (!response.at("ok").boolean && failed++ == 0) first_failure = *line;
+      }
+    });
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string study =
+          "c" + std::to_string(connection) + "_s" + std::to_string(round);
+      const int id = round * kPerRound;
+      client.send(R"({"id":)" + std::to_string(id) +
+                  R"(,"method":"open_study","study":")" + study + "\"}");
+      client.send(append_trace_line(id + 1, study, "A", trace_a));
+      client.send(append_trace_line(id + 2, study, "B", trace_b));
+      client.send(R"({"id":)" + std::to_string(id + 3) +
+                  R"(,"method":"regions","study":")" + study + "\"}");
+    }
+    reader.join();
+    EXPECT_EQ(answered, kRounds * kPerRound) << "connection " << connection;
+    EXPECT_EQ(out_of_order, 0) << "connection " << connection;
+    EXPECT_EQ(failed, 0) << "connection " << connection
+                         << ", first failure: " << first_failure;
+  };
+  std::vector<std::thread> connections;
+  for (int c = 0; c < kConnections; ++c)
+    connections.emplace_back(run_connection, c);
+  for (std::thread& connection : connections) connection.join();
+
+  {
+    UnixClient admin(path);
+    admin.send(R"({"id":1,"method":"shutdown"})");
+    EXPECT_TRUE(admin.recv().at("ok").boolean);
+  }
+  server.join();
+}
+
+TEST(ServeUnixSocketTest, ConnectionsBeyondTheCapAreRefusedAsOverloaded) {
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_serve_conn_cap.sock").string();
+  TrackingService service;
+  ServerOptions options;
+  options.queue_capacity = 2;
+  std::thread server([&] {
+    EXPECT_EQ(serve_unix_socket(service, path, options), 0);
+  });
+  auto queue_of = [](UnixClient& client) {
+    client.send(R"({"id":0,"method":"stats"})");
+    return client.recv().at("result").at("queue");
+  };
+  auto in_flight = [](const obs::JsonValue& queue) {
+    return static_cast<int>(queue.at("in_flight").number);
+  };
+
+  auto first = std::make_unique<UnixClient>(path);
+  UnixClient second(path);
+  // An answered ping proves each connection is open before the third.
+  first->send(R"({"id":1,"method":"ping"})");
+  EXPECT_TRUE(first->recv().at("ok").boolean);
+  second.send(R"({"id":1,"method":"ping"})");
+  EXPECT_TRUE(second.recv().at("ok").boolean);
+  {
+    UnixClient third(path);
+    const obs::JsonValue refused = third.recv();
+    EXPECT_FALSE(refused.at("ok").boolean);
+    EXPECT_EQ(refused.at("error").at("code").string, "overloaded");
+    EXPECT_FALSE(third.recv_line().has_value())
+        << "a refused connection is closed after its one error line";
+  }
+  obs::JsonValue queue = queue_of(second);
+  EXPECT_EQ(static_cast<int>(queue.at("capacity").number), 2);
+  EXPECT_EQ(static_cast<int>(queue.at("rejected").number), 1);
+  EXPECT_EQ(static_cast<int>(queue.at("admitted").number), 2);
+  EXPECT_EQ(in_flight(queue), 2);
+
+  // Closing a connection frees its slot once the server has read its EOF.
+  first.reset();
+  for (int attempt = 0; attempt < 500 && in_flight(queue) != 1; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    queue = queue_of(second);
+  }
+  EXPECT_EQ(in_flight(queue), 1);
+
+  UnixClient fourth(path);
+  fourth.send(R"({"id":1,"method":"ping"})");
+  EXPECT_TRUE(fourth.recv().at("ok").boolean);
+  queue = queue_of(fourth);
+  EXPECT_EQ(in_flight(queue), 2);
+  EXPECT_EQ(static_cast<int>(queue.at("rejected").number), 1);
+  fourth.send(R"({"id":2,"method":"shutdown"})");
+  EXPECT_TRUE(fourth.recv().at("ok").boolean);
+  server.join();
 }
 
 TEST(ServeUnixSocketTest, SocketPathTooLongFails) {
@@ -466,14 +515,11 @@ TEST(ServeUnixSocketTest, NonSocketFileIsRefusedNotRemoved) {
 
 TEST(ServeTcpTest, ServesOverEphemeralPortAndDrainsOnShutdown) {
   TrackingService service;
-  ServerOptions options;
-  options.threads = 2;
-
   std::mutex mutex;
   std::condition_variable ready;
   std::uint16_t port = 0;
   std::thread server([&] {
-    EXPECT_EQ(serve_tcp(service, "127.0.0.1", 0, options,
+    EXPECT_EQ(serve_tcp(service, "127.0.0.1", 0, ServerOptions{},
                         [&](std::uint16_t bound) {
                           std::lock_guard<std::mutex> lock(mutex);
                           port = bound;

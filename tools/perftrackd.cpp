@@ -3,7 +3,7 @@
 // The paper's workflow is interactive: an analyst appends experiments one
 // at a time and re-examines the tracked regions. perftrackd keeps the
 // sessions warm between questions — one TrackingSession per named study,
-// served concurrently:
+// each connection served on its own thread, one request at a time:
 //
 //   perftrackd --socket /tmp/perftrack.sock     # daemon on a unix socket
 //   perftrackd --stdio                          # one connection on stdio
@@ -22,7 +22,7 @@
 // `perftrack stat`, or a dedicated HTTP scrape listener
 // (--metrics-socket PATH / --metrics-port N serving GET /metrics).
 // --access-log FILE writes one NDJSON line per request with the
-// parse/queue/lock/handler/write breakdown; --slow-ms N additionally
+// parse/lock/handler/write breakdown; --slow-ms N additionally
 // dumps the span tree of any request slower than N ms.
 //
 // Requests are newline-delimited JSON (docs/SERVING.md):
@@ -36,7 +36,7 @@
 // Responses for regions/trends/coverage are byte-identical to what a
 // batch `perftrack track` run over the same traces would report. SIGTERM,
 // SIGINT, EOF (--stdio) and the `shutdown` method all drain gracefully:
-// admitted requests complete and flush before the process exits.
+// requests already read complete and flush before the process exits.
 //
 // Exit codes: 0 clean shutdown, 1 internal error, 2 usage.
 
@@ -139,13 +139,8 @@ cli::OptionTable option_table(Options& options) {
             "directory for the workers' AF_UNIX sockets (default: under "
             "--state-dir, or /tmp/perftrackd-<pid>-shards)",
             [o](const std::string& v) { o->shard_dir = v; });
-  table.add("--threads", "N",
-            "request worker threads (0 = hardware concurrency)",
-            [o](const std::string& v) {
-              o->server.threads = cli::parse_count("--threads", v);
-            });
   table.add("--queue", "N",
-            "max requests in flight before overload rejection (64)",
+            "max open connections; one more is refused as overloaded (64)",
             [o](const std::string& v) {
               o->server.queue_capacity = cli::parse_count("--queue", v, 1);
             });
@@ -351,10 +346,6 @@ pid_t spawn_worker(const Options& options, const std::string& socket_path,
   if (!state_dir.empty()) {
     args.push_back("--state-dir");
     args.push_back(state_dir);
-  }
-  if (options.server.threads != 0) {
-    args.push_back("--threads");
-    args.push_back(std::to_string(options.server.threads));
   }
   if (options.align_engine != align::AlignmentEngine::kAuto) {
     args.push_back("--align-engine");
