@@ -8,28 +8,41 @@
 
 namespace perftrack::obs {
 
+namespace {
+
+/// True for the bytes escape_json rewrites.
+bool needs_escape(char ch) {
+  return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
+}
+
+}  // namespace
+
 std::string escape_json(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char ch : text) {
+  std::size_t pos = 0;
+  while (true) {
+    // Append each run of plain bytes at once.
+    std::size_t run = pos;
+    while (run < text.size() && !needs_escape(text[run])) ++run;
+    out.append(text, pos, run - pos);
+    if (run == text.size()) return out;
+    const char ch = text[run];
+    pos = run + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(ch)));
+        out += buf;
+      }
     }
   }
-  return out;
 }
 
 void JsonWriter::before_value() {
@@ -257,13 +270,14 @@ private:
     expect('"');
     std::string out;
     while (true) {
+      // Append each run of plain bytes at once.
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\')
+        ++run;
+      out.append(text_, pos_, run - pos_);
+      pos_ = run;
       if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       char esc = text_[pos_++];
       switch (esc) {

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -158,7 +159,7 @@ void NdjsonClient::connect_now() {
 void NdjsonClient::disconnect() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  buffer_.clear();  // a partial response from a dead connection is garbage
+  framer_.clear();  // a partial response from a dead connection is garbage
 }
 
 std::uint64_t NdjsonClient::backoff_delay_ms(int attempt) {
@@ -171,14 +172,24 @@ std::uint64_t NdjsonClient::backoff_delay_ms(int attempt) {
   return delay + jitter(rng_);
 }
 
-std::string NdjsonClient::attempt_roundtrip(const std::string& line) {
+std::string NdjsonClient::attempt_roundtrip(std::string_view line) {
   const auto deadline = attempt_deadline(retry_);
 
+  // The line and its '\n' go out through one gather write, so the request
+  // is never copied just to terminate it.
+  static const char kNewline = '\n';
+  const std::size_t total = line.size() + 1;
   std::size_t done = 0;
-  while (done < line.size()) {
+  while (done < total) {
     wait_ready(fd_, POLLOUT, deadline, "send");
-    ssize_t n = ::send(fd_, line.data() + done, line.size() - done,
-                       MSG_NOSIGNAL);
+    iovec parts[2];
+    msghdr message{};
+    message.msg_iov = parts;
+    if (done < line.size())
+      parts[message.msg_iovlen++] = {const_cast<char*>(line.data() + done),
+                                     line.size() - done};
+    parts[message.msg_iovlen++] = {const_cast<char*>(&kNewline), 1};
+    ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
         continue;
@@ -187,33 +198,25 @@ std::string NdjsonClient::attempt_roundtrip(const std::string& line) {
     done += static_cast<std::size_t>(n);
   }
 
-  while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string response = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return response;
+  std::string response;
+  framer_.next(response, [&](char* into, std::size_t room) -> ssize_t {
+    while (true) {
+      wait_ready(fd_, POLLIN, deadline, "recv");
+      ssize_t n = ::recv(fd_, into, room, 0);
+      if (n > 0) return n;
+      if (n == 0) throw Error("daemon closed the connection mid-response");
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+        throw Error(std::string("recv(): ") + std::strerror(errno));
     }
-    wait_ready(fd_, POLLIN, deadline, "recv");
-    char chunk[4096];
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      throw Error(std::string("recv(): ") + std::strerror(errno));
-    }
-    if (n == 0) throw Error("daemon closed the connection mid-response");
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  });
+  return response;
 }
 
 std::string NdjsonClient::roundtrip(const std::string& request_line) {
-  std::string line = request_line;
-  line += '\n';
   for (int attempt = 1;; ++attempt) {
     try {
       if (fd_ < 0) connect_now();
-      return attempt_roundtrip(line);
+      return attempt_roundtrip(request_line);
     } catch (const Error&) {
       // The daemon may have applied the request before the failure; the
       // policy doc makes retrying the caller's contract (idempotent

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
 
 #include "serve/protocol.hpp"
 
@@ -80,13 +81,13 @@ public:
 private:
   void connect_now();   ///< one bounded connect attempt; throws Error
   void disconnect();
-  std::string attempt_roundtrip(const std::string& line);
+  std::string attempt_roundtrip(std::string_view line);
   std::uint64_t backoff_delay_ms(int attempt);
 
   std::string path_;
   RetryPolicy retry_;
   int fd_ = -1;
-  std::string buffer_;  ///< bytes past the last response line
+  LineFramer framer_;  ///< bytes past the last response line
   std::minstd_rand rng_;
 };
 

@@ -227,6 +227,7 @@ void Journal::write_record_or_heal(const std::string& record) {
 }
 
 void Journal::append(const AppendEntry& entry) {
+  PT_SPAN("journal_append");
   if (broken_)
     throw IoError("journal " + path_ +
                   " has a torn tail from an earlier failure; restart the "

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace perftrack::serve {
 
@@ -73,18 +74,24 @@ Request parse_request(const std::string& line) {
                        "\"study\" must be a string");
     request.study = doc.at("study").string;
   }
-  if (doc.has("params")) {
-    if (!doc.at("params").is_object())
+  auto params = doc.object.find("params");
+  if (params != doc.object.end()) {
+    if (!params->second.is_object())
       throw ServeError(ErrorCode::BadRequest,
                        "\"params\" must be an object");
-    request.params = doc.at("params");
+    // Moved, not copied: an inline trace is most of a request's bytes.
+    request.params = std::move(params->second);
   }
   return request;
 }
 
 std::string render_response(const Response& response) {
   if (!response.raw.empty()) return response.raw;
-  std::string out = "{";
+  std::string out;
+  // Room for the envelope and the newline the transports append, so a
+  // large result is copied once.
+  out.reserve(response.id.size() + response.result_json.size() + 64);
+  out += "{";
   if (!response.id.empty()) out += "\"id\":" + response.id + ",";
   if (response.ok) {
     out += "\"ok\":true,\"result\":";
@@ -114,6 +121,56 @@ Response make_error(const Request& request, ErrorCode code,
   response.code = code;
   response.message = message;
   return response;
+}
+
+void LineFramer::clear() {
+  buffer_.clear();
+  start_ = scanned_ = 0;
+  discarding_ = false;
+}
+
+bool LineFramer::take(std::string& line, LineRead& status) {
+  const char* data = buffer_.data();
+  const void* newline =
+      std::memchr(data + scanned_, '\n', buffer_.size() - scanned_);
+  if (newline == nullptr) {
+    // Compact once per read, not once per line: a block holding many
+    // short lines is then moved at most once.
+    buffer_.erase(0, start_);
+    start_ = 0;
+    scanned_ = buffer_.size();
+    if (discarding_ || (cap_ != 0 && buffer_.size() > cap_)) {
+      buffer_.clear();
+      scanned_ = 0;
+      discarding_ = true;
+    }
+    return false;
+  }
+  const std::size_t end = static_cast<std::size_t>(
+      static_cast<const char*>(newline) - data);
+  const std::size_t begin = start_;
+  start_ = scanned_ = end + 1;
+  if (discarding_ || (cap_ != 0 && end - begin > cap_)) {
+    discarding_ = false;
+    status = LineRead::Overlong;
+    return true;
+  }
+  line.assign(data + begin, end - begin);
+  status = LineRead::Line;
+  return true;
+}
+
+LineRead LineFramer::finish(std::string& line) {
+  if (discarding_) {
+    discarding_ = false;
+    return LineRead::Overlong;
+  }
+  // take() has compacted the buffer and capped it, so what is left is
+  // one unterminated line within the cap.
+  if (buffer_.empty()) return LineRead::Eof;
+  line.swap(buffer_);
+  clear();
+  return LineRead::Line;
 }
 
 }  // namespace perftrack::serve

@@ -22,6 +22,7 @@
 // marks requests that arrived after a drain began. docs/SERVING.md is the
 // protocol reference.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -112,5 +113,63 @@ Response make_result(const Request& request, std::string result_json);
 /// Error response for `code`/`message`, echoing the request id.
 Response make_error(const Request& request, ErrorCode code,
                     const std::string& message);
+
+/// What one pull from a line source produced. An overlong line is
+/// reported without ever being buffered whole.
+enum class LineRead { Eof, Line, Overlong };
+
+/// NDJSON line framing over a byte stream, shared by perftrackd's socket
+/// transports and NdjsonClient. Bytes are read in blocks of kReadBlock,
+/// and the newline search resumes where the last one stopped, so each
+/// byte is examined once. Past `max_line_bytes` (0 = no cap) a line's
+/// bytes are dropped as they arrive, so memory stays within the cap plus
+/// one block however long the line runs.
+class LineFramer {
+public:
+  static constexpr std::size_t kReadBlock = 64 * 1024;
+
+  explicit LineFramer(std::size_t max_line_bytes = 0)
+      : cap_(max_line_bytes) {}
+
+  /// The next line, without its '\n', into `line`. `read(into, room)`
+  /// fills up to `room` bytes and returns the count, 0 at the end of the
+  /// stream, or a negative value on failure (reported as Eof). An
+  /// unterminated last line is still a line.
+  template <typename Read>
+  LineRead next(std::string& line, Read&& read) {
+    LineRead status = LineRead::Eof;
+    while (!take(line, status)) {
+      const std::size_t size = buffer_.size();
+      buffer_.resize(size + kReadBlock);
+      std::ptrdiff_t n = 0;
+      try {
+        n = read(buffer_.data() + size, kReadBlock);
+      } catch (...) {
+        buffer_.resize(size);
+        throw;
+      }
+      buffer_.resize(size + static_cast<std::size_t>(n > 0 ? n : 0));
+      if (n < 0) return LineRead::Eof;
+      if (n == 0) return finish(line);
+    }
+    return status;
+  }
+
+  /// Forget every buffered byte (a new connection starts clean).
+  void clear();
+
+private:
+  /// Pop a complete line if one is buffered; otherwise drop consumed and
+  /// overlong bytes and return false.
+  bool take(std::string& line, LineRead& status);
+  /// The end of the stream, after take() found no complete line.
+  LineRead finish(std::string& line);
+
+  std::size_t cap_;
+  std::string buffer_;
+  std::size_t start_ = 0;    ///< where the first unconsumed line begins
+  std::size_t scanned_ = 0;  ///< bytes before this hold no '\n' past start_
+  bool discarding_ = false;  ///< inside an overlong line, dropping bytes
+};
 
 }  // namespace perftrack::serve

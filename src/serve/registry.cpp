@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <sstream>
 
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
@@ -129,13 +128,12 @@ void ensure_session(StudyState& study) {
         session->append_gap(entry.label, entry.detail);
         break;
       case AppendEntry::Kind::Inline: {
-        std::istringstream in(entry.detail);
         Diagnostics diags = study.config.resilience.lenient
                                 ? Diagnostics::lenient()
                                 : Diagnostics::strict();
         diags.set_file(entry.label);
         session->append_experiment(std::make_shared<const trace::Trace>(
-            trace::read_trace(in, diags)));
+            trace::read_trace(std::string_view(entry.detail), diags)));
         break;
       }
       case AppendEntry::Kind::Path: {

@@ -32,12 +32,6 @@ namespace perftrack::serve {
 
 namespace {
 
-/// What one pull from a transport's line source produced. Overlong lines
-/// are detected by the source (which discards the line's remainder) and
-/// answered with a typed error without the request ever being buffered
-/// whole.
-enum class LineRead { Eof, Line, Overlong };
-
 /// Background idle-study eviction; joined (and woken) on destruction.
 class Sweeper {
 public:
@@ -72,6 +66,13 @@ private:
   bool stop_ = false;
   std::thread thread_;
 };
+
+/// `response` as one NDJSON line, newline included, rendered in place.
+std::string response_line(const Response& response) {
+  std::string line = render_response(response);
+  line += '\n';
+  return line;
+}
 
 /// Emit the access-log line for a finished request, plus the slow-request
 /// span dump when the request crossed the threshold. `begin_ns`/`end_ns`
@@ -124,7 +125,7 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
                       ErrorCode code, const std::string& message) {
       metrics.count_request(method);
       metrics.count_error(error_code_name(code));
-      write(render_response(make_error(request, code, message)) + "\n");
+      write(response_line(make_error(request, code, message)));
       const std::uint64_t t_written = obs::now_ns();
       metrics.record_request_ns(method, t_written - t_read);
       RequestRecord record;
@@ -168,7 +169,7 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
     const Response response = dispatcher.dispatch(request, line);
     const std::uint64_t t_handled = obs::now_ns();
     const std::uint64_t lock_ns = ServeMetrics::context_lock_wait_ns();
-    write(render_response(response) + "\n");
+    write(response_line(response));
     const std::uint64_t t_written = obs::now_ns();
     metrics.record_phase_ns(ServeMetrics::Phase::Write, t_written - t_handled);
     metrics.record_request_ns(memo_slot, t_written - t_read);
@@ -252,67 +253,6 @@ bool write_all(int fd, const std::string& bytes) {
   }
   return true;
 }
-
-/// Incremental line reader over a raw fd (no stdio buffering to fight
-/// with shutdown()). Enforces the line-length cap as bytes arrive: once a
-/// line outgrows the cap its bytes are dropped, not buffered, so a peer
-/// streaming an endless "line" cannot grow the buffer without limit.
-class FdLineReader {
-public:
-  FdLineReader(int fd, std::size_t max_line_bytes)
-      : fd_(fd), cap_(max_line_bytes) {}
-
-  LineRead next(std::string& line) {
-    while (true) {
-      std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        if (discarding_) {
-          buffer_.erase(0, nl + 1);
-          discarding_ = false;
-          return LineRead::Overlong;
-        }
-        if (cap_ != 0 && nl > cap_) {
-          buffer_.erase(0, nl + 1);
-          return LineRead::Overlong;
-        }
-        line.assign(buffer_, 0, nl);
-        buffer_.erase(0, nl + 1);
-        return LineRead::Line;
-      }
-      if (cap_ != 0 && buffer_.size() > cap_) {
-        buffer_.clear();
-        discarding_ = true;
-      }
-      char chunk[4096];
-      ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return LineRead::Eof;
-      }
-      if (n == 0) {
-        if (discarding_) {
-          discarding_ = false;
-          return LineRead::Overlong;
-        }
-        if (buffer_.empty()) return LineRead::Eof;
-        line.swap(buffer_);  // unterminated final line still counts
-        buffer_.clear();
-        if (cap_ != 0 && line.size() > cap_) {
-          line.clear();
-          return LineRead::Overlong;
-        }
-        return LineRead::Line;
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-private:
-  int fd_;
-  std::size_t cap_;
-  bool discarding_ = false;  ///< inside an overlong line, dropping bytes
-  std::string buffer_;
-};
 
 /// A socket file can be left behind by a crashed daemon (the clean exit
 /// path unlinks it). Distinguish the three cases before bind: a live
@@ -439,11 +379,10 @@ void refuse(Dispatcher& dispatcher, int fd, std::size_t capacity) {
   if (metrics.enabled())
     metrics.registry().counter("perftrackd_overloaded_total").add();
   metrics.count_error(error_code_name(ErrorCode::Overloaded));
-  write_all(fd, render_response(make_error(
+  write_all(fd, response_line(make_error(
                     Request{}, ErrorCode::Overloaded,
                     "connection limit reached (" + std::to_string(capacity) +
-                        " open, --queue); retry")) +
-                    "\n");
+                        " open, --queue); retry")));
   ::close(fd);
 }
 
@@ -468,10 +407,19 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
   ::sigaction(SIGPIPE, &ignore, &old_pipe);
 
   const auto serve_connection = [&dispatcher, &options](int fd) {
-    FdLineReader reader(fd, options.max_line_bytes);
+    // Raw fd reads, no stdio buffering to fight with shutdown().
+    LineFramer framer(options.max_line_bytes);
+    const auto read_fd = [fd](char* into, std::size_t room) -> ssize_t {
+      while (true) {
+        const ssize_t n = ::read(fd, into, room);
+        if (n >= 0 || errno != EINTR) return n;
+      }
+    };
     serve_requests(
         dispatcher, options,
-        [&reader](std::string& line) { return reader.next(line); },
+        [&framer, &read_fd](std::string& line) {
+          return framer.next(line, read_fd);
+        },
         [fd](const std::string& line) { write_all(fd, line); });
   };
 

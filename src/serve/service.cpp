@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <sstream>
 
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
@@ -25,15 +24,18 @@ const obs::JsonValue* find_param(const Request& request, const char* name) {
   return it == request.params.object.end() ? nullptr : &it->second;
 }
 
-std::string param_string(const Request& request, const char* name,
-                         bool required = false) {
+/// The string parameter `name`, by reference into the request (an inline
+/// trace is megabytes); empty when absent and not `required`.
+const std::string& param_string(const Request& request, const char* name,
+                                bool required = false) {
+  static const std::string kAbsent;
   const obs::JsonValue* value = find_param(request, name);
   if (value == nullptr) {
     if (required)
       throw ServeError(ErrorCode::BadRequest,
                        std::string("missing required parameter \"") + name +
                            "\"");
-    return {};
+    return kAbsent;
   }
   if (!value->is_string())
     throw ServeError(ErrorCode::BadRequest,
@@ -547,7 +549,7 @@ std::string TrackingService::do_list_studies(const Request&) {
 std::string TrackingService::do_append_experiment(const Request& request) {
   auto study = study_of(request);
   const std::string path = param_string(request, "path");
-  const std::string inline_text = param_string(request, "trace");
+  const std::string& inline_text = param_string(request, "trace");
   std::string label = param_string(request, "label");
   if (path.empty() == inline_text.empty())
     throw ServeError(ErrorCode::BadRequest,
@@ -580,9 +582,8 @@ std::string TrackingService::do_append_experiment(const Request& request) {
     } else {
       if (label.empty()) label = "<inline>";
       diags.set_file(label);
-      std::istringstream in(inline_text);
       trace = std::make_shared<const trace::Trace>(
-          trace::read_trace(in, diags));
+          trace::read_trace(std::string_view(inline_text), diags));
     }
   } catch (const Error& error) {
     // Strict mode propagates (typed parse-failure / io-failure response,

@@ -1,11 +1,12 @@
 #include "trace/trace_io.hpp"
 
+#include <array>
 #include <charconv>
 #include <fstream>
+#include <istream>
 #include <map>
 #include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -37,22 +38,35 @@ std::optional<std::uint64_t> parse_uint(std::string_view text) {
   return value;
 }
 
-/// Split `text` into at most `max_fields` whitespace-separated fields; the
-/// last field absorbs the remainder (so function names may contain spaces).
-std::vector<std::string_view> fields_of(std::string_view text,
-                                        std::size_t max_fields) {
-  std::vector<std::string_view> out;
+/// The most fields any record splits into: a burst's four plus counters.
+constexpr std::size_t kMaxFields = 4 + kCounterCount;
+
+/// Up to kMaxFields fields of one record, held in place: no allocation
+/// per line.
+struct Fields {
+  std::array<std::string_view, kMaxFields> field;
+  std::size_t count = 0;
+
+  std::size_t size() const { return count; }
+  std::string_view operator[](std::size_t i) const { return field[i]; }
+};
+
+/// Split `text` into at most `max_fields` (<= kMaxFields) space-separated
+/// fields; the last field absorbs the remainder (so function names may
+/// contain spaces).
+Fields fields_of(std::string_view text, std::size_t max_fields) {
+  Fields out;
   std::size_t pos = 0;
-  while (pos < text.size() && out.size() + 1 < max_fields) {
+  while (pos < text.size() && out.count + 1 < max_fields) {
     while (pos < text.size() && text[pos] == ' ') ++pos;
     if (pos >= text.size()) break;
     std::size_t end = text.find(' ', pos);
     if (end == std::string_view::npos) end = text.size();
-    out.push_back(text.substr(pos, end - pos));
+    out.field[out.count++] = text.substr(pos, end - pos);
     pos = end;
   }
   while (pos < text.size() && text[pos] == ' ') ++pos;
-  if (pos < text.size()) out.push_back(trim(text.substr(pos)));
+  if (pos < text.size()) out.field[out.count++] = trim(text.substr(pos));
   return out;
 }
 
@@ -100,8 +114,50 @@ void save_trace(const std::string& path, const Trace& trace) {
   if (!out) throw io_error("trace write failed", path);
 }
 
-Trace read_trace(std::istream& in, Diagnostics& diags) {
-  std::string line;
+namespace {
+
+/// Lines of a stream, read with std::getline into one reused buffer.
+class StreamLines {
+public:
+  explicit StreamLines(std::istream& in) : in_(in) {}
+
+  bool next(std::string_view& line) {
+    if (!std::getline(in_, buffer_)) return false;
+    line = buffer_;
+    return true;
+  }
+  bool failed() const { return in_.bad(); }
+
+private:
+  std::istream& in_;
+  std::string buffer_;
+};
+
+/// Lines of text already in memory, split exactly as std::getline splits
+/// a stream: at each '\n', with an unterminated last line kept.
+class TextLines {
+public:
+  explicit TextLines(std::string_view text) : rest_(text) {}
+
+  bool next(std::string_view& line) {
+    if (rest_.empty()) return false;
+    const std::size_t end = rest_.find('\n');
+    line = rest_.substr(0, end);
+    rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                      : end + 1);
+    return true;
+  }
+  bool failed() const { return false; }
+
+private:
+  std::string_view rest_;
+};
+
+/// The parser core behind every entry point: one pass over `lines`.
+template <typename Lines>
+Trace parse_trace(Lines& lines, Diagnostics& diags) {
+  PT_SPAN("read_trace");
+  std::string_view line;
   int line_no = 0;
 
   std::optional<std::string> app;
@@ -228,7 +284,7 @@ Trace read_trace(std::istream& in, Diagnostics& diags) {
     }
   };
 
-  if (!std::getline(in, line)) {
+  if (!lines.next(line)) {
     diags.error(0, "bad-magic", "missing #PTT 1 magic header");
     throw ParseError("empty trace stream");
   }
@@ -241,13 +297,13 @@ Trace read_trace(std::istream& in, Diagnostics& diags) {
     if (!text.empty() && text.front() != '#') handle_record(text);
   }
 
-  while (std::getline(in, line)) {
+  while (lines.next(line)) {
     ++line_no;
     std::string_view text = trim(line);
     if (text.empty() || text.front() == '#') continue;
     handle_record(text);
   }
-  if (in.bad()) throw io_error("trace read failed", diags.file());
+  if (lines.failed()) throw io_error("trace read failed", diags.file());
 
   if (!app) {
     diags.report(diags.is_lenient() ? Severity::Warning : Severity::Error, 0,
@@ -306,6 +362,18 @@ Trace read_trace(std::istream& in, Diagnostics& diags) {
   diags.finish();
   trace.validate();
   return trace;
+}
+
+}  // namespace
+
+Trace read_trace(std::istream& in, Diagnostics& diags) {
+  StreamLines lines(in);
+  return parse_trace(lines, diags);
+}
+
+Trace read_trace(std::string_view text, Diagnostics& diags) {
+  TextLines lines(text);
+  return parse_trace(lines, diags);
 }
 
 Trace read_trace(std::istream& in) {

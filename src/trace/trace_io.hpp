@@ -20,6 +20,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/diagnostics.hpp"
 #include "trace/trace.hpp"
@@ -41,6 +42,10 @@ Trace read_trace(std::istream& in, Diagnostics& diags);
 
 /// Strict-mode convenience overload.
 Trace read_trace(std::istream& in);
+
+/// Parse trace text already in memory, in place: the same grammar and
+/// diagnostics as the stream overload, without copying the text.
+Trace read_trace(std::string_view text, Diagnostics& diags);
 
 /// Parse from a file; stamps the path onto `diags` for its diagnostics.
 Trace load_trace(const std::string& path, Diagnostics& diags);

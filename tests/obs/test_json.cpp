@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -104,6 +105,62 @@ TEST(JsonRoundTripTest, WriterOutputParsesBack) {
   EXPECT_DOUBLE_EQ(v.at("coverage").number, 0.875);
   ASSERT_EQ(v.at("stages").array.size(), 2u);
   EXPECT_EQ(v.at("stages").array[1].at("name").string, "nw");
+}
+
+/// FNV-1a 64 of `text`, to pin long outputs by digest.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string parse_back(const std::string& escaped) {
+  return parse_json("\"" + escaped + "\"").string;
+}
+
+TEST(JsonRoundTripTest, EveryByteEscapesToTheGoldenTextAndParsesBack) {
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes += static_cast<char>(b);
+  // Golden: control bytes as \uXXXX (or their short escapes), '"' and '\'
+  // escaped, every other byte (0x7f-0xff included) passed through.
+  std::string golden =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t"
+      "\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014"
+      "\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d"
+      "\\u001e\\u001f !\\\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRS"
+      "TUVWXYZ[\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~";
+  for (int b = 0x7f; b < 256; ++b) golden += static_cast<char>(b);
+  EXPECT_EQ(escape_json(bytes), golden);
+  EXPECT_EQ(parse_back(escape_json(bytes)), bytes);
+}
+
+TEST(JsonRoundTripTest, EscapesInFirstAndLastPosition) {
+  const std::string quote_newline("\"middle\n", 8);
+  EXPECT_EQ(escape_json(quote_newline), "\\\"middle\\n");
+  EXPECT_EQ(parse_back(escape_json(quote_newline)), quote_newline);
+  const std::string control_backslash("\x01 plain \\", 9);
+  EXPECT_EQ(escape_json(control_backslash), "\\u0001 plain \\\\");
+  EXPECT_EQ(parse_back(escape_json(control_backslash)), control_backslash);
+  for (const std::string& only : {std::string(1, '\0'), std::string("\""),
+                                  std::string(""), std::string("x")})
+    EXPECT_EQ(parse_back(escape_json(only)), only);
+}
+
+TEST(JsonRoundTripTest, LongPlainRunWithSparseEscapes) {
+  // 1 MiB of letters with one escaped byte every 4099 bytes, cycling
+  // through the bytes escape_json rewrites.
+  const std::string escaped("\"\\\n\r\t\x01\x1f", 7);
+  std::string text;
+  for (std::size_t i = 0; i < (1u << 20); ++i)
+    text += i % 4099 == 4098 ? escaped[(i / 4099) % escaped.size()]
+                             : static_cast<char>('a' + i % 26);
+  const std::string out = escape_json(text);
+  EXPECT_EQ(out.size(), 1049119u);
+  EXPECT_EQ(fnv1a64(out), 9113681173100896493ull);
+  EXPECT_EQ(parse_back(out), text);
 }
 
 }  // namespace

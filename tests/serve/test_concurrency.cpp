@@ -201,6 +201,13 @@ TEST(ServeConcurrencyTest, EvictionRacesWithReadsSafely) {
   pipeline.add_experiment(experiment(2));
   const std::string expected = describe_tracking(pipeline.run());
 
+  // Daemon-wide stats: unlike a study's own stats, they leave the study's
+  // idle clock alone.
+  auto rebuilds = [&] {
+    Response stats = service.handle(req("stats"));
+    return stats.ok ? obs::parse_json(stats.result_json).at("rebuilds").number
+                    : 0.0;
+  };
   std::atomic<bool> stop{false};
   std::thread evictor([&] {
     while (!stop.load(std::memory_order_acquire)) service.sweep();
@@ -208,7 +215,9 @@ TEST(ServeConcurrencyTest, EvictionRacesWithReadsSafely) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
-      for (int i = 0; i < 25; ++i) {
+      // An eviction needs a gap between reads, which a loaded host may not
+      // give within 25 rounds: keep racing until one rebuild happened.
+      for (int i = 0; i < 25 || (i < 5000 && rebuilds() < 1.0); ++i) {
         Response r = service.handle(req("regions", "churn"));
         ASSERT_TRUE(r.ok) << r.message;
         // Rebuild-after-evict must reproduce the identical result.

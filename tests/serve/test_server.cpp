@@ -1,6 +1,6 @@
 // Server engine: per-connection request order, the open-connection cap,
-// the stream transport's drain semantics, and the unix-socket transport
-// end to end.
+// the stream transport's drain semantics, the unix-socket transport end to
+// end, and NDJSON line framing on both the server and the client side.
 
 #include "serve/server.hpp"
 
@@ -10,7 +10,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +32,8 @@
 #include "serve/service.hpp"
 #include "testing/test_traces.hpp"
 #include "trace/trace_io.hpp"
+#include "tracking/pipeline.hpp"
+#include "tracking/report.hpp"
 
 namespace perftrack::serve {
 namespace {
@@ -215,11 +220,21 @@ public:
     if (fd_ >= 0) ::close(fd_);
   }
 
-  void send(const std::string& line) {
-    std::string framed = line + "\n";
-    ASSERT_EQ(::write(fd_, framed.data(), framed.size()),
-              static_cast<ssize_t>(framed.size()));
+  void send(const std::string& line) { send_raw(line + "\n"); }
+
+  /// Write `bytes` as they are, with no newline added.
+  void send_raw(const std::string& bytes) {
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n =
+          ::write(fd_, bytes.data() + done, bytes.size() - done);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      done += static_cast<std::size_t>(n);
+    }
   }
+
+  /// Signal end of input: the server sees EOF after the bytes sent.
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
 
   /// The next response line, or nullopt once the server closed the
   /// connection.
@@ -420,19 +435,191 @@ TEST(ServeUnixSocketTest, OverlongLineIsRejectedWithoutUnboundedBuffering) {
 
   {
     UnixClient client(path);
-    // An unterminated flood larger than the cap, then the newline: the
-    // server answers with a typed error instead of buffering it all.
-    client.send(std::string(4096, 'x'));
+    // A 3 MB newline-free prefix, far larger than the cap and arriving
+    // across many reads, then the newline: the server answers with one
+    // typed error instead of buffering it all.
+    const std::string flood(64 * 1024, 'x');
+    for (int piece = 0; piece < 48; ++piece) client.send_raw(flood);
+    client.send("");
     obs::JsonValue rejected = client.recv();
     EXPECT_FALSE(rejected.at("ok").boolean);
     EXPECT_EQ(rejected.at("error").at("code").string, "bad-request");
-    // The same connection still serves well-formed requests.
+    // The same connection still serves well-formed requests, including
+    // one that shares a write with the end of the next overlong line.
     client.send(R"({"id":1,"method":"ping"})");
     EXPECT_TRUE(client.recv().at("ok").boolean);
-    client.send(R"({"id":2,"method":"shutdown"})");
+    client.send_raw(std::string(4096, 'y') + "\n" +
+                    R"({"id":2,"method":"ping"})" "\n");
+    EXPECT_EQ(client.recv().at("error").at("code").string, "bad-request");
+    obs::JsonValue pong = client.recv();
+    EXPECT_TRUE(pong.at("ok").boolean);
+    EXPECT_DOUBLE_EQ(pong.at("id").number, 2.0);
+    client.send(R"({"id":3,"method":"shutdown"})");
     EXPECT_TRUE(client.recv().at("ok").boolean);
   }
   server.join();
+}
+
+TEST(ServeUnixSocketTest, LargeInlineAppendInRandomPiecesMatchesBatch) {
+  // A >= 6 MB append_experiment line, written in random pieces of 1 B to
+  // 64 KiB, so the server frames it across many uneven reads.
+  MiniTraceSpec spec;
+  spec.label = "big";
+  spec.tasks = 64;
+  spec.iterations = 560;
+  spec.seed = 5;
+  spec.noise = 0.02;
+  spec.phases = {MiniPhase{8e6, 1.0, {"p1", "x.c", 1}},
+                 MiniPhase{1e6, 2.0, {"p2", "x.c", 2}}};
+  std::ostringstream big_text;
+  trace::write_trace(big_text, *make_mini_trace(spec));
+  const std::string big = big_text.str();
+  ASSERT_GE(big.size(), 6'000'000u);
+  const std::string small = trace_text("small", 7);
+
+  tracking::TrackingPipeline batch;
+  batch.set_config(ServiceConfig{}.session);
+  for (const std::string* text : {&big, &small}) {
+    std::istringstream in(*text);
+    batch.add_experiment(
+        std::make_shared<const trace::Trace>(trace::read_trace(in)));
+  }
+  const std::string expected = tracking::describe_tracking(batch.run());
+
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_serve_pieces.sock").string();
+  TrackingService service;
+  std::thread server([&] {
+    EXPECT_EQ(serve_unix_socket(service, path, ServerOptions{}), 0);
+  });
+  {
+    UnixClient client(path);
+    client.send(R"({"id":1,"method":"open_study","study":"s"})");
+    EXPECT_TRUE(client.recv().at("ok").boolean);
+    const std::string line = append_trace_line(2, "s", "big", big) + "\n";
+    std::mt19937 rng(11);
+    std::uniform_int_distribution<std::size_t> piece(1, 64 * 1024);
+    for (std::size_t at = 0; at < line.size();) {
+      const std::size_t n = std::min(piece(rng), line.size() - at);
+      client.send_raw(line.substr(at, n));
+      at += n;
+    }
+    obs::JsonValue appended = client.recv();
+    EXPECT_TRUE(appended.at("ok").boolean);
+    client.send(append_trace_line(3, "s", "small", small));
+    EXPECT_TRUE(client.recv().at("ok").boolean);
+    client.send(R"({"id":4,"method":"regions","study":"s"})");
+    obs::JsonValue regions = client.recv();
+    ASSERT_TRUE(regions.at("ok").boolean);
+    EXPECT_EQ(regions.at("result").at("text").string, expected);
+    client.send(R"({"id":5,"method":"shutdown"})");
+    EXPECT_TRUE(client.recv().at("ok").boolean);
+  }
+  server.join();
+}
+
+TEST(ServeUnixSocketTest, TwoRequestsInOneWriteGetTwoAnswersInOrder) {
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_serve_two.sock").string();
+  TrackingService service;
+  std::thread server([&] {
+    EXPECT_EQ(serve_unix_socket(service, path, ServerOptions{}), 0);
+  });
+  {
+    UnixClient client(path);
+    client.send_raw(R"({"id":1,"method":"ping"})" "\n"
+                    R"({"id":2,"method":"list_studies"})" "\n");
+    obs::JsonValue first = client.recv();
+    obs::JsonValue second = client.recv();
+    EXPECT_DOUBLE_EQ(first.at("id").number, 1.0);
+    EXPECT_TRUE(first.at("ok").boolean);
+    EXPECT_DOUBLE_EQ(second.at("id").number, 2.0);
+    EXPECT_TRUE(second.at("result").has("studies"));
+    client.send(R"({"id":3,"method":"shutdown"})");
+    EXPECT_TRUE(client.recv().at("ok").boolean);
+  }
+  server.join();
+}
+
+TEST(ServeUnixSocketTest, UnterminatedLastLineAtEofIsServed) {
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_serve_eof.sock").string();
+  TrackingService service;
+  std::thread server([&] {
+    EXPECT_EQ(serve_unix_socket(service, path, ServerOptions{}), 0);
+  });
+  {
+    UnixClient client(path);
+    client.send_raw(R"({"id":7,"method":"ping"})");  // no newline
+    client.finish_sending();
+    obs::JsonValue pong = client.recv();
+    EXPECT_TRUE(pong.at("ok").boolean);
+    EXPECT_DOUBLE_EQ(pong.at("id").number, 7.0);
+    EXPECT_FALSE(client.recv_line().has_value())
+        << "the server closes the connection after the last line";
+  }
+  {
+    UnixClient admin(path);
+    admin.send(R"({"id":1,"method":"shutdown"})");
+    EXPECT_TRUE(admin.recv().at("ok").boolean);
+  }
+  server.join();
+}
+
+TEST(NdjsonClientTest, LargeResponseAcrossManyReadsAndTheNextOneIntact) {
+  // A scripted peer answers the first request with a >= 1 MB line in 1000
+  // small writes, the second answer riding in the same write as its end;
+  // the client must return both lines whole.
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "pt_client_large.sock").string();
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&address),
+                   sizeof(address)),
+            0)
+      << std::strerror(errno);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  std::string payload;
+  for (std::size_t i = 0; i < 1'200'000; ++i)
+    payload += static_cast<char>('a' + (i * 7) % 26);
+  const std::string first = R"({"id":1,"ok":true,"result":{"text":")" +
+                            payload + "\"}}";
+  const std::string second = R"({"id":2,"ok":true,"result":{}})";
+
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    auto read_line = [fd] {
+      std::string line;
+      char c;
+      while (::read(fd, &c, 1) == 1 && c != '\n') line += c;
+      return line;
+    };
+    EXPECT_EQ(read_line(), R"({"id":1})");
+    const std::string stream = first + "\n" + second + "\n";
+    const std::size_t piece = stream.size() / 1000 + 1;
+    for (std::size_t at = 0; at < stream.size(); at += piece) {
+      const std::string bytes = stream.substr(at, piece);
+      ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+                static_cast<ssize_t>(bytes.size()));
+    }
+    EXPECT_EQ(read_line(), R"({"id":2})");
+    ::close(fd);
+  });
+
+  {
+    NdjsonClient client(path);
+    EXPECT_EQ(client.roundtrip(R"({"id":1})"), first);
+    EXPECT_EQ(client.roundtrip(R"({"id":2})"), second);
+  }
+  peer.join();
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 TEST(ServeUnixSocketTest, StaleSocketFromACrashedDaemonIsReplaced) {

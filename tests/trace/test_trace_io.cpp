@@ -1,10 +1,19 @@
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
-#include <sstream>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "common/diagnostics.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sim/studies.hpp"
 
 namespace perftrack::trace {
 namespace {
@@ -140,6 +149,142 @@ TEST(TraceIoTest, CommentsAndBlanksIgnored) {
 
 TEST(TraceIoTest, LoadMissingFileThrows) {
   EXPECT_THROW(load_trace("/nonexistent-xyz/trace.ptt"), IoError);
+}
+
+// ---------------------------------------------------------------------------
+// Driver equivalence: read_trace(std::string_view), read_trace(std::istream&)
+// and load_trace share one parser core and must agree on every input.
+
+enum class Driver { Text, Stream, File };
+
+/// Everything one parse produces: the trace (when it loads), the thrown
+/// error (type and message) and the rendered diagnostics.
+struct Outcome {
+  std::optional<Trace> trace;
+  std::string error;
+  std::string diagnostics;
+};
+
+Outcome parse_with(Driver driver, const std::string& bytes, bool lenient,
+                   const std::string& path) {
+  Diagnostics diags = lenient ? Diagnostics::lenient() : Diagnostics::strict();
+  diags.set_file(path);  // load_trace stamps this path; match it
+  Outcome out;
+  try {
+    switch (driver) {
+      case Driver::Text:
+        out.trace.emplace(read_trace(std::string_view(bytes), diags));
+        break;
+      case Driver::Stream: {
+        std::istringstream in(bytes);
+        out.trace.emplace(read_trace(in, diags));
+        break;
+      }
+      case Driver::File:
+        out.trace.emplace(load_trace(path, diags));
+        break;
+    }
+  } catch (const ParseError& error) {
+    out.error = std::string("ParseError: ") + error.what();
+  } catch (const Error& error) {
+    out.error = std::string("Error: ") + error.what();
+  }
+  out.diagnostics = diags.to_string();
+  return out;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+void expect_identical(const Trace& a, const Trace& b) {
+  EXPECT_EQ(a.application(), b.application());
+  EXPECT_EQ(a.label(), b.label());
+  EXPECT_EQ(a.num_tasks(), b.num_tasks());
+  EXPECT_EQ(a.attributes(), b.attributes());
+  ASSERT_EQ(a.callstacks().size(), b.callstacks().size());
+  for (CallstackId id = 0; id < a.callstacks().size(); ++id)
+    EXPECT_EQ(a.callstacks().resolve(id), b.callstacks().resolve(id));
+  ASSERT_EQ(a.burst_count(), b.burst_count());
+  for (std::size_t i = 0; i < a.burst_count(); ++i) {
+    const Burst& x = a.bursts()[i];
+    const Burst& y = b.bursts()[i];
+    EXPECT_EQ(x.task, y.task);
+    EXPECT_EQ(bits_of(x.begin_time), bits_of(y.begin_time));
+    EXPECT_EQ(bits_of(x.duration), bits_of(y.duration));
+    EXPECT_EQ(x.callstack, y.callstack);
+    for (std::size_t c = 0; c < kCounterCount; ++c)
+      EXPECT_EQ(bits_of(x.counters.get(static_cast<Counter>(c))),
+                bits_of(y.counters.get(static_cast<Counter>(c))));
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string text_of(const Trace& trace) {
+  std::ostringstream out;
+  write_trace(out, trace);
+  return out.str();
+}
+
+std::vector<std::pair<std::string, std::string>> equivalence_inputs() {
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (const char* name : {"truncated", "bad_magic", "garbage_line",
+                           "dangling_callstack", "duplicate_ids"})
+    inputs.emplace_back(name, file_bytes(std::string(PT_TEST_DATA_DIR) +
+                                         "/trace/corpus/" + name + ".ptt"));
+  const std::string rich = text_of(make_rich_trace(3, 2, 5));
+  std::string crlf;
+  for (char c : rich) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  inputs.emplace_back("crlf", crlf);
+  inputs.emplace_back("unterminated", rich.substr(0, rich.size() - 1));
+  inputs.emplace_back("comments_and_blanks",
+                      "#PTT 1\n# comment\n\n   \napp A\n# another\nlabel L\n"
+                      "tasks 1\n\ncallstack 1 3 a.c main\n"
+                      "burst 0 0 0.5 1 1 1 0 0 0\n\n");
+  inputs.emplace_back("function_names_with_spaces",
+                      "#PTT 1\napp A\ntasks 1\n"
+                      "callstack 1 10 x.c compute  the   kernel \n"
+                      "callstack 2 11 y.c operator new [](unsigned long)\n"
+                      "burst 0 0 0.5 1 1 1 0 0 0\nburst 0 1 0.5 2 1 1 0 0 0\n");
+  inputs.emplace_back("empty", "");
+  inputs.emplace_back("newline_only", "\n");
+  int experiment = 0;
+  for (const auto& trace : sim::study_gadget().traces)
+    inputs.emplace_back("gadget_" + std::to_string(experiment++),
+                        text_of(*trace));
+  return inputs;
+}
+
+TEST(TraceIoTest, TextStreamAndFileDriversAgree) {
+  for (const auto& [name, bytes] : equivalence_inputs()) {
+    const std::string path =
+        ::testing::TempDir() + "/pt_equiv_" + name + ".ptt";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+    for (bool lenient : {false, true}) {
+      SCOPED_TRACE(name + (lenient ? " (lenient)" : " (strict)"));
+      const Outcome text = parse_with(Driver::Text, bytes, lenient, path);
+      for (Driver driver : {Driver::Stream, Driver::File}) {
+        const Outcome other = parse_with(driver, bytes, lenient, path);
+        EXPECT_EQ(text.error, other.error);
+        EXPECT_EQ(text.diagnostics, other.diagnostics);
+        ASSERT_EQ(text.trace.has_value(), other.trace.has_value());
+        if (text.trace) expect_identical(*text.trace, *other.trace);
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
