@@ -11,6 +11,19 @@ namespace perftrack::obs {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// The telemetry clock's zero: the first call, which g_anchor_at_start
+/// below makes happen during static initialisation.
+Clock::time_point clock_anchor() {
+  static const Clock::time_point anchor = Clock::now();
+  return anchor;
+}
+
+/// Taking the anchor before main() makes a run report's wall time the
+/// process's, including whatever ran before the first recorded event.
+[[maybe_unused]] const Clock::time_point g_anchor_at_start = clock_anchor();
+
 std::atomic<bool> g_enabled{
 #ifdef PERFTRACK_PROFILING_DEFAULT_ON
     true
@@ -100,11 +113,9 @@ void reset() {
 }
 
 std::uint64_t now_ns() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point anchor = clock::now();
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
-                                                           anchor)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           clock_anchor())
           .count());
 }
 

@@ -40,7 +40,8 @@ void set_enabled(bool on);
 /// thread. Thread registrations survive.
 void reset();
 
-/// Monotonic nanoseconds since the telemetry clock anchor (first use).
+/// Monotonic nanoseconds since the telemetry clock anchor, taken during
+/// static initialisation (so a run report's wall time covers the process).
 std::uint64_t now_ns();
 
 /// RAII span. Use via PT_SPAN; `name` must have static storage duration

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/telemetry.hpp"
 
 namespace perftrack::sim {
 
@@ -23,6 +24,7 @@ void AppModel::add_phase(PhaseSpec phase) {
 }
 
 trace::Trace AppModel::simulate(const Scenario& scenario) const {
+  PT_SPAN("simulate");
   PT_REQUIRE(!phases_.empty(), "application model has no phases");
   PT_REQUIRE(scenario.num_tasks > 0, "scenario needs at least one task");
 

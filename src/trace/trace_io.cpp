@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -70,9 +71,42 @@ Fields fields_of(std::string_view text, std::size_t max_fields) {
   return out;
 }
 
+/// The longest burst record: "burst", a uint32 task and callstack of at
+/// most 10 digits each, seven doubles of at most 24 characters each in
+/// %.17g ("-1.2345678901234567e-308"), nine separators and the newline.
+constexpr std::size_t kMaxBurstRecord = 5 + 2 * 10 + 7 * 24 + 9 + 1;
+
+/// write_trace hands the stream burst records in blocks of about this size.
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
 }  // namespace
 
+void append_burst_record(std::string& out, const Burst& burst) {
+  std::array<char, kMaxBurstRecord> record{};
+  char* const end = record.data() + record.size();
+  char* p = record.data();
+  auto put_uint = [&](std::uint32_t value) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, value).ptr;
+  };
+  auto put_double = [&](double value) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, value, std::chars_format::general, 17).ptr;
+  };
+  std::memcpy(p, "burst", 5);
+  p += 5;
+  put_uint(burst.task);
+  put_double(burst.begin_time);
+  put_double(burst.duration);
+  put_uint(burst.callstack);
+  for (std::size_t i = 0; i < kCounterCount; ++i)
+    put_double(burst.counters.get(static_cast<Counter>(i)));
+  *p++ = '\n';
+  out.append(record.data(), static_cast<std::size_t>(p - record.data()));
+}
+
 void write_trace(std::ostream& out, const Trace& trace) {
+  PT_SPAN("write_trace");
   out << kMagic << '\n';
   out << "app " << trace.application() << '\n';
   out << "label " << trace.label() << '\n';
@@ -87,14 +121,16 @@ void write_trace(std::ostream& out, const Trace& trace) {
         << loc.function << '\n';
   }
 
-  out.precision(17);
+  std::string block;
+  block.reserve(kBlockBytes + kMaxBurstRecord);
   for (const Burst& b : trace.bursts()) {
-    out << "burst " << b.task << ' ' << b.begin_time << ' ' << b.duration
-        << ' ' << b.callstack;
-    for (std::size_t i = 0; i < kCounterCount; ++i)
-      out << ' ' << b.counters.get(static_cast<Counter>(i));
-    out << '\n';
+    append_burst_record(block, b);
+    if (block.size() >= kBlockBytes) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
   }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   if (!out) throw io_error("trace write failed", "<stream>");
 }
 

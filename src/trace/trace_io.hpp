@@ -17,6 +17,10 @@
 // `file` may not. Burst lines must appear in per-task time order (the same
 // invariant Trace::add_burst enforces). Blank lines and lines starting with
 // '#' (after the magic) are ignored.
+//
+// The writer prints integers in decimal and doubles as C's "%.17g" in the C
+// locale, which round-trips every finite double; the reader accepts any
+// number std::from_chars parses (docs/FORMATS.md).
 
 #include <iosfwd>
 #include <string>
@@ -29,6 +33,10 @@ namespace perftrack::trace {
 
 /// Serialise `trace` to the stream. Throws IoError on stream failure.
 void write_trace(std::ostream& out, const Trace& trace);
+
+/// Append the `burst` record write_trace emits for `burst`, newline
+/// included, to `out`.
+void append_burst_record(std::string& out, const Burst& burst);
 
 /// Serialise to a file; throws IoError on failure.
 void save_trace(const std::string& path, const Trace& trace);

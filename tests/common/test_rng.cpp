@@ -2,8 +2,96 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <random>
+
 namespace perftrack {
 namespace {
+
+// ---------------------------------------------------------------------------
+// detail::LazyMt19937_64 against its oracle, std::mt19937_64.
+
+/// Compare `draws` outputs of the lazy engine and std::mt19937_64 for
+/// `seed`; returns the index of the first mismatch, or -1.
+long first_mismatch(std::uint64_t seed, int draws) {
+  std::mt19937_64 oracle(seed);
+  detail::LazyMt19937_64 lazy(seed);
+  for (int i = 0; i < draws; ++i)
+    if (lazy() != oracle()) return i;
+  return -1;
+}
+
+// 1,300 draws cross the lazy first half-round (156), the first full round
+// (312) and three regenerations after it.
+constexpr int kDrawsPastRegenerations = 1300;
+
+TEST(LazyMt19937_64Test, MatchesStdEngineOnBoundarySeeds) {
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
+                             ~std::uint64_t{0}, std::uint64_t{5489}}) {
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(first_mismatch(seed, kDrawsPastRegenerations), -1);
+  }
+}
+
+TEST(LazyMt19937_64Test, MatchesStdEngineOnRandomSeeds) {
+  std::mt19937_64 seeds(20131117);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t seed = seeds();
+    SCOPED_TRACE(seed);
+    ASSERT_EQ(first_mismatch(seed, kDrawsPastRegenerations), -1);
+  }
+}
+
+TEST(LazyMt19937_64Test, TenThousandthDrawIsTheStandardsValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-
+  // constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+  detail::LazyMt19937_64 engine(5489);
+  std::uint64_t value = 0;
+  for (int i = 0; i < 10000; ++i) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ull);
+}
+
+TEST(LazyMt19937_64Test, CopyMidRoundContinuesTheSameSequence) {
+  for (int taken : {0, 1, 155, 156, 157, 311, 312, 313}) {
+    SCOPED_TRACE(taken);
+    detail::LazyMt19937_64 engine(99);
+    std::mt19937_64 oracle(99);
+    for (int i = 0; i < taken; ++i) {
+      engine();
+      oracle();
+    }
+    detail::LazyMt19937_64 copy = engine;
+    for (int i = 0; i < kDrawsPastRegenerations; ++i) {
+      const std::uint64_t expected = oracle();
+      ASSERT_EQ(engine(), expected);
+      ASSERT_EQ(copy(), expected);
+    }
+  }
+}
+
+TEST(RngTest, DistributionsMatchTheStdEngine) {
+  // Every Rng distribution must return what the same std:: distribution
+  // returns over std::mt19937_64, bit for bit, across regenerations.
+  std::mt19937_64 seeds(7);
+  for (int stream = 0; stream < 200; ++stream) {
+    const std::uint64_t seed = seeds();
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_EQ(rng.uniform(-2.5, 7.0),
+                std::uniform_real_distribution<double>(-2.5, 7.0)(oracle));
+      ASSERT_EQ(rng.uniform_int(-3, 1000),
+                std::uniform_int_distribution<std::int64_t>(-3, 1000)(oracle));
+      ASSERT_EQ(rng.normal(10.0, 2.0),
+                std::normal_distribution<double>(10.0, 2.0)(oracle));
+      ASSERT_EQ(rng.jitter(0.05),
+                std::exp(std::normal_distribution<double>(0.0, 0.05)(oracle)));
+      ASSERT_EQ(rng.chance(0.3), std::bernoulli_distribution(0.3)(oracle));
+    }
+  }
+}
 
 TEST(RngTest, SameSeedSameSequence) {
   Rng a(42), b(42);

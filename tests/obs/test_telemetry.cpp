@@ -205,5 +205,17 @@ TEST_F(TelemetryTest, NowNsIsMonotonic) {
   EXPECT_LE(a, b);
 }
 
+// ctest runs every case in its own process, so nothing in this one touches
+// telemetry before the sleep: the report's wall time must still cover it,
+// because the clock starts with the process, not with the first event.
+TEST(TelemetryClockTest, WallTimeCoversTimeBeforeTheFirstEvent) {
+  const std::chrono::milliseconds before_first_event(50);
+  std::this_thread::sleep_for(before_first_event);
+  const RunReport report = collect();
+  EXPECT_GE(report.wall_ns,
+            static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(before_first_event).count()));
+}
+
 }  // namespace
 }  // namespace perftrack::obs

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -284,6 +288,93 @@ TEST(TraceIoTest, TextStreamAndFileDriversAgree) {
       }
     }
     std::remove(path.c_str());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Writer oracle: the .ptt byte contract (docs/FORMATS.md) is what an
+// ostream with precision(17) prints, C's "%.17g". The writer formats with
+// std::to_chars and must match it byte for byte.
+
+/// One burst record as a precision-17 ostream prints it.
+std::string stream_burst_record(const Burst& b) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "burst " << b.task << ' ' << b.begin_time << ' ' << b.duration
+      << ' ' << b.callstack;
+  for (std::size_t i = 0; i < kCounterCount; ++i)
+    out << ' ' << b.counters.get(static_cast<Counter>(i));
+  out << '\n';
+  return out.str();
+}
+
+std::string burst_record(const Burst& b) {
+  std::string out;
+  append_burst_record(out, b);
+  return out;
+}
+
+/// A burst whose every double field is `value`.
+Burst burst_of(std::uint32_t task, std::uint32_t callstack, double value) {
+  Burst b;
+  b.task = task;
+  b.callstack = callstack;
+  b.begin_time = value;
+  b.duration = value;
+  for (std::size_t i = 0; i < kCounterCount; ++i)
+    b.counters.set(static_cast<Counter>(i), value);
+  return b;
+}
+
+TEST(TraceIoTest, BurstRecordMatchesStreamOnEdgeValues) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, limits::denorm_min(), -limits::denorm_min(), DBL_MIN,
+      -DBL_MIN, DBL_MAX, -DBL_MAX, limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(),
+      // Integral doubles, up to and past 2^53.
+      1.0, -1.0, 2.0, 10.0, 123456789.0, 4294967295.0, 9007199254740992.0,
+      9007199254740994.0, 1e15, 1e22, 0.1, 1.0 / 3.0, 0.5};
+  // "%.17g" prints decimal exponents -4 to 16 in fixed notation and the
+  // rest in exponent notation; cover both sides of each switch.
+  for (double point : {1e-5, 1e-4, 1e16, 1e17}) {
+    for (double v : {std::nextafter(point, 0.0), point,
+                     std::nextafter(point, limits::infinity())}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  const std::uint32_t ids[] = {0, 1, 9, 10, 4294967294u, 4294967295u};
+  for (double value : values) {
+    for (std::uint32_t id : ids) {
+      const Burst b = burst_of(id, ~id, value);
+      EXPECT_EQ(burst_record(b), stream_burst_record(b));
+    }
+  }
+}
+
+TEST(TraceIoTest, BurstRecordMatchesStreamOnRandomBitPatterns) {
+  // 150,000 bursts of seven doubles each: 1.05M random bit patterns, with
+  // task and callstack drawn from the whole uint32 range.
+  std::mt19937_64 bits(4242);
+  auto random_double = [&] {
+    const std::uint64_t pattern = bits();
+    double value = 0.0;
+    std::memcpy(&value, &pattern, sizeof value);
+    return value;
+  };
+  std::string record;
+  for (int i = 0; i < 150000; ++i) {
+    Burst b;
+    b.task = static_cast<std::uint32_t>(bits());
+    b.callstack = static_cast<std::uint32_t>(bits());
+    b.begin_time = random_double();
+    b.duration = random_double();
+    for (std::size_t c = 0; c < kCounterCount; ++c)
+      b.counters.set(static_cast<Counter>(c), random_double());
+    record.clear();
+    append_burst_record(record, b);
+    ASSERT_EQ(record, stream_burst_record(b)) << "burst " << i;
   }
 }
 
