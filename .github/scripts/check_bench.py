@@ -5,7 +5,8 @@ The perf_* benches check two different kinds of property, and CI must
 treat them differently:
 
   * correctness verdicts — bit-identity of incremental vs batch results,
-    cache-warmed runs reproducing cold runs, every request answered.
+    of the fast vs reference engines and of restarted vs uninterrupted
+    daemons, every request answered.
     These hold on any machine, so a violation fails the build.
   * timing bars — e.g. the >= 5x evolution-study speedup perf_session
     asserts locally. Shared CI runners make wall-clock ratios flaky, so

@@ -2,13 +2,15 @@
 // plus the kd-tree-vs-grid engine comparison behind docs/PERFORMANCE.md.
 //
 // Run with no arguments to get the engine comparison over the ten case
-// studies (written to BENCH_perf_opt.json) followed by the google-benchmark
-// microbenchmarks; benchmark flags (--benchmark_filter=...) pass through.
+// studies (written to BENCH_clustering.json) followed by the
+// google-benchmark microbenchmarks; benchmark flags pass through, so
+// --benchmark_list_tests=true runs the comparison alone (as CI does).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "cluster/frame.hpp"
@@ -126,10 +128,11 @@ double cluster_all_studies(cluster::DbscanIndex index,
 }
 
 /// Engine comparison over the full study corpus, recorded as the
-/// BENCH_perf_opt.json trajectory point (spans + the speedup gauges).
+/// BENCH_clustering.json trajectory point (spans, the speedup gauges and
+/// the label-identity verdict).
 void run_engine_comparison() {
   bench::enable_telemetry();
-  bench::print_title("perf_opt",
+  bench::print_title("perf_clustering",
                      "DBSCAN spatial index: kd-tree vs uniform grid");
   bench::print_paper(
       "not in the paper — engineering comparison of the two dbscan "
@@ -160,7 +163,13 @@ void run_engine_comparison() {
   PT_GAUGE("dbscan_grid_ms", grid_ms);
   PT_GAUGE("dbscan_grid_speedup", kd_ms / grid_ms);
   PT_COUNTER("dbscan_label_mismatches", static_cast<double>(mismatches));
-  bench::write_telemetry("BENCH_perf_opt.json", "perf_opt");
+  PT_GAUGE("verdict_dbscan_identity", mismatches == 0 ? 1.0 : 0.0);
+  // Both passes run serially on one thread; the host's count is recorded
+  // next to it so the timings can be compared across machines.
+  PT_GAUGE("threads", 1.0);
+  PT_GAUGE("hardware_threads",
+           static_cast<double>(std::thread::hardware_concurrency()));
+  bench::write_telemetry("BENCH_clustering.json", "perf_clustering");
 }
 
 }  // namespace

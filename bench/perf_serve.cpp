@@ -38,21 +38,12 @@
 // regions/trends byte-for-byte against the uninterrupted Leg A bytes —
 // verdict_recovery_identity. The per-append latency of every fsync mode
 // is exported as advisory gauges, the journal's cost sheet.
-//
-// Leg F (the sharding verdict): a 2-shard ShardFront over in-process
-// TrackingService workers, fed the same raw request lines as a single
-// daemon. Every response — opens, appends, regions, trends, report, id
-// echoes included — must be byte-identical to the monolith's. Then both
-// journaled workers are destroyed ("crash") and rebuilt on their own
-// state dirs behind a fresh front, and the reads must still match —
-// verdict_shard_identity covers both halves.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,7 +53,6 @@
 #include "obs/json.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "serve/shard.hpp"
 #include "sim/studies.hpp"
 #include "trace/trace_io.hpp"
 #include "tracking/pipeline.hpp"
@@ -359,103 +349,6 @@ int main() {
   std::printf("\n");
   fs::remove_all(state_root);
 
-  // ---- Leg F: 2-shard front vs one daemon, byte for byte, over a crash.
-  bench::print_section("shard-by-study front (2 shards vs one daemon)");
-  const fs::path shard_root =
-      fs::temp_directory_path() / "pt_bench_serve_shards";
-  fs::remove_all(shard_root);
-
-  auto worker_config = [&](std::size_t shard) {
-    serve::ServiceConfig config;
-    config.session = session_config;
-    config.journal.directory =
-        (shard_root / ("shard-" + std::to_string(shard))).string();
-    config.journal.fsync = serve::FsyncMode::Always;
-    return config;
-  };
-  std::unique_ptr<serve::TrackingService> workers[2] = {
-      std::make_unique<serve::TrackingService>(worker_config(0)),
-      std::make_unique<serve::TrackingService>(worker_config(1))};
-  auto make_front = [&] {
-    std::vector<serve::ShardFront::Backend> backends;
-    for (auto& slot : workers)
-      backends.push_back([&slot](const std::string& line) {
-        return serve::render_response(slot->handle_line(line));
-      });
-    return std::make_unique<serve::ShardFront>(std::move(backends));
-  };
-  std::unique_ptr<serve::ShardFront> front = make_front();
-  serve::TrackingService monolith(service_config);  // the reference bytes
-
-  bool shard_identity = true;
-  auto both = [&](const std::string& line) {
-    const std::string sharded = serve::render_response(
-        front->dispatch(serve::parse_request(line), line));
-    const std::string mono =
-        serve::render_response(monolith.handle_line(line));
-    if (sharded != mono) {
-      shard_identity = false;
-      std::fprintf(stderr, "shard bytes diverge for: %s\n", line.c_str());
-    }
-  };
-  auto raw_append = [](const std::string& name, const trace::Trace& t) {
-    std::ostringstream text;
-    trace::write_trace(text, t);
-    obs::JsonWriter json;
-    json.begin_object();
-    json.key("method").value("append_experiment");
-    json.key("study").value(name);
-    json.key("params").begin_object();
-    json.key("trace").value(text.str());
-    json.end_object();
-    json.end_object();
-    return json.str();
-  };
-  auto read_lines = [](const std::string& name) {
-    return std::vector<std::string>{
-        R"({"id":1,"method":"regions","study":")" + name + "\"}",
-        R"({"id":2,"method":"trends","study":")" + name +
-            R"(","params":{"metric":"IPC"}})",
-        R"({"id":"r-3","method":"report","study":")" + name + "\"}",
-        R"({"id":4,"method":"coverage","study":")" + name + "\"}",
-    };
-  };
-
-  // Two studies so the FNV routing has more than one possible home; the
-  // second takes a short prefix of the traces to bound the leg's cost.
-  const std::vector<std::string> shard_studies = {"hydroc",
-                                                  "hydroc-replay"};
-  start = Clock::now();
-  for (const std::string& name : shard_studies) {
-    both(R"({"method":"open_study","study":")" + name + "\"}");
-    const std::size_t count =
-        name == "hydroc" ? study.traces.size()
-                         : std::min<std::size_t>(3, study.traces.size());
-    for (std::size_t i = 0; i < count; ++i)
-      both(raw_append(name, *study.traces[i]));
-    for (const std::string& line : read_lines(name)) both(line);
-  }
-  both(R"({"id":9,"method":"regions","study":"never-opened"})");
-  double sharded_ms = ms_since(start);
-
-  // "Crash" both workers and rebuild them on their own state dirs behind
-  // a fresh front: the journals must hand back the same bytes.
-  front.reset();
-  for (auto& slot : workers) slot.reset();
-  for (std::size_t shard = 0; shard < 2; ++shard)
-    workers[shard] =
-        std::make_unique<serve::TrackingService>(worker_config(shard));
-  front = make_front();
-  for (const std::string& name : shard_studies)
-    for (const std::string& line : read_lines(name)) both(line);
-
-  std::printf("2-shard front, %zu studies driven twice: %.1f ms first pass\n",
-              shard_studies.size(), sharded_ms);
-  std::printf("sharded responses byte-identical to one daemon "
-              "(incl. crash-restart): %s\n\n",
-              shard_identity ? "yes" : "NO — SHARD IDENTITY BROKEN");
-  fs::remove_all(shard_root);
-
   PT_GAUGE("verdict_identical", identical ? 1.0 : 0.0);
   PT_GAUGE("verdict_recovery_identity", recovery_identity ? 1.0 : 0.0);
   PT_GAUGE("advisory_append_fsync_always_us", append_us[0]);
@@ -463,7 +356,6 @@ int main() {
   PT_GAUGE("advisory_append_fsync_off_us", append_us[2]);
   PT_GAUGE("verdict_all_answered", all_answered ? 1.0 : 0.0);
   PT_GAUGE("verdict_metrics_complete", metrics_complete ? 1.0 : 0.0);
-  PT_GAUGE("verdict_shard_identity", shard_identity ? 1.0 : 0.0);
   PT_GAUGE("verdict_read_scaling_ge4", scaling_ge4 ? 1.0 : 0.0);
   PT_GAUGE("advisory_read_scaling_ge1_2", scaling_ok ? 1.0 : 0.0);
   PT_GAUGE("advisory_metrics_overhead_lt_1pct", overhead_ok ? 1.0 : 0.0);
@@ -479,7 +371,7 @@ int main() {
   bench::write_telemetry("BENCH_serve.json", "perf_serve");
 
   bool pass = identical && all_answered && metrics_complete &&
-              recovery_identity && shard_identity && scaling_ge4;
+              recovery_identity && scaling_ge4;
   std::printf("\nperf_serve: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

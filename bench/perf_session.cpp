@@ -4,9 +4,8 @@
 // sequence, re-examine the tracked regions. Without sessions every append
 // pays a full batch run — re-cluster every trace, re-track every adjacent
 // pair. A TrackingSession memoises per-experiment frames and adjacent-pair
-// relations (backed by the on-disk frame cache), so an append costs one
-// clustering — O(1), and a cache hit if the trace was seen before — plus
-// only the pair trackings the fitted scale actually invalidated.
+// relations, so an append costs one clustering — O(1) — plus only the pair
+// trackings the fitted scale actually invalidated.
 //
 // Leg A (the acceptance bar): for each Table 2 study, an analyst with a
 // warm session appends one more experiment — a re-measurement of a
@@ -20,13 +19,9 @@
 // pairs to re-track (the "Scale inv" column), so the win is smaller; the
 // leg exists to show the equivalence holds at every sequence length and to
 // report how often real study sequences invalidate the scale.
-//
-// Leg C: the on-disk cache across processes — a fresh session over a warm
-// cache directory must cluster nothing and still match bit-for-bit.
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -35,7 +30,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "sim/studies.hpp"
-#include "store/frame_store.hpp"
 #include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
 #include "tracking/session.hpp"
@@ -74,11 +68,6 @@ int main() {
       "appending experiment N+1 should cost one clustering and (scale "
       "permitting) one pair tracking, not a full re-run");
 
-  namespace fs = std::filesystem;
-  const fs::path cache_dir =
-      fs::temp_directory_path() / "pt_perf_session_cache";
-  fs::remove_all(cache_dir);
-
   // ---- Leg A: one append to a warm session vs a cold batch run. --------
   // Both paths run on one worker: the batch pipeline hides its O(N) extra
   // clusterings and pair trackings behind parallel_for, so with more cores
@@ -88,7 +77,7 @@ int main() {
   bench::print_section(
       "warm append re-track vs cold batch (single worker, >= 5x bar)");
   Table append_table({"Study", "Frames", "Cold batch ms", "Warm append ms",
-                      "Speedup", "Clustered", "Cache hits", "Pairs new"});
+                      "Speedup", "Clustered", "Pairs new"});
   double append_cold_total = 0.0;
   double append_warm_total = 0.0;
   // The >= 5x bar is judged on the longest tab02 sequence (the 20-frame
@@ -110,7 +99,6 @@ int main() {
     tracking::SessionConfig config;
     config.clustering = study.clustering;
     config.tracking.threads = 1;
-    config.cache.directory = cache_dir.string();
 
     // Warm prep (not timed): the session state the analyst already has.
     tracking::TrackingSession session(config);
@@ -119,7 +107,7 @@ int main() {
     tracking::SessionStats before = session.stats();
 
     // Cold: the pre-session workflow for the same question — a full batch
-    // run over all N+1 traces, no cache.
+    // run over all N+1 traces.
     tracking::SessionConfig cold_config;
     cold_config.clustering = study.clustering;
     cold_config.tracking.threads = 1;
@@ -143,11 +131,9 @@ int main() {
     identical = identical && cold == warm;
     tracking::SessionStats after = session.stats();
     std::size_t clustered = after.frames_clustered - before.frames_clustered;
-    std::size_t hits = after.cache.hits - before.cache.hits;
     std::size_t pairs_new = after.pairs_tracked - before.pairs_tracked;
-    // O(1) clustering work per append (0 here: the re-measured trace is
-    // already in the cache), and exactly one fresh pair.
-    identical = identical && clustered + hits <= 1 && pairs_new <= 1;
+    // O(1) work per append: one clustering and at most one fresh pair.
+    identical = identical && clustered <= 1 && pairs_new <= 1;
 
     append_cold_total += cold_ms;
     append_warm_total += warm_ms;
@@ -159,7 +145,6 @@ int main() {
     append_table.cell(warm_ms, 1);
     append_table.cell(cold_ms / warm_ms, 1);
     append_table.cell(clustered);
-    append_table.cell(hits);
     append_table.cell(pairs_new);
   }
   std::printf("%s\n", append_table.to_text().c_str());
@@ -232,43 +217,7 @@ int main() {
   std::printf("replay results bit-identical: %s\n\n",
               identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
-  // ---- Leg C: the on-disk cache across processes. ----------------------
-  bench::print_section("on-disk frame cache (gromacs 20-frame study)");
-  sim::Study evolution = sim::study_gromacs_evolution();
-  tracking::SessionConfig cached_config;
-  cached_config.clustering = evolution.clustering;
-  cached_config.cache.directory = cache_dir.string();
-
-  Clock::time_point start = Clock::now();
-  tracking::TrackingSession cold_session(cached_config);
-  for (const auto& t : evolution.traces) cold_session.append_experiment(t);
-  ResultDigest cache_cold(cold_session.retrack());
-  double cache_cold_ms = ms_since(start);
-
-  start = Clock::now();
-  tracking::TrackingSession warm_session(cached_config);
-  for (const auto& t : evolution.traces) warm_session.append_experiment(t);
-  ResultDigest cache_warm(warm_session.retrack());
-  double cache_warm_ms = ms_since(start);
-
-  const tracking::SessionStats& warm_stats = warm_session.stats();
-  bool cache_ok = cache_cold == cache_warm &&
-                  warm_stats.frames_clustered == 0 &&
-                  warm_stats.frames_from_cache == evolution.traces.size();
-  std::printf("cold run (warms cache):   %.1f ms, %llu hits, %llu stores\n",
-              cache_cold_ms,
-              static_cast<unsigned long long>(cold_session.stats().cache.hits),
-              static_cast<unsigned long long>(
-                  cold_session.stats().cache.stores));
-  std::printf("warm run (fresh session): %.1f ms, %llu cache hits, "
-              "%llu clustered\n",
-              cache_warm_ms,
-              static_cast<unsigned long long>(warm_stats.cache.hits),
-              static_cast<unsigned long long>(warm_stats.frames_clustered));
-  std::printf("warm output identical: %s\n\n", cache_ok ? "yes" : "NO");
-  fs::remove_all(cache_dir);
-
-  // ---- Leg D: the alignment stage at production sequence lengths. ------
+  // ---- Leg C: the alignment stage at production sequence lengths. ------
   // The per-frame MSA is the fixed cost every retrack pays before any
   // pair work. The simulator's ladders are short; production traces run
   // thousands of iterations, so the stage is timed on a 64-task,
@@ -289,7 +238,7 @@ int main() {
           if (!rng.chance(0.02)) seq.push_back(static_cast<align::Symbol>(p));
       tasks.push_back(std::move(seq));
     }
-    start = Clock::now();
+    Clock::time_point start = Clock::now();
     align::MultipleAlignment full =
         align::star_align(tasks, {}, align::AlignmentEngine::kFull);
     align_full_ms = ms_since(start);
@@ -307,13 +256,12 @@ int main() {
   std::printf("alignments identical: %s\n\n",
               align_identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
-  // Run report with the frame_cache_* counters (the same schema perftrack
-  // --profile emits). The gauges let CI separate the equivalence gates
-  // (verdict_*, must hold anywhere) from the timing bar (advisory_*,
-  // flaky on shared runners): .github/scripts/check_bench.py hard-fails
-  // on the former and only warns on the latter.
+  // Run report (the same schema perftrack --profile emits). The gauges let
+  // CI separate the equivalence gates (verdict_*, must hold anywhere) from
+  // the timing bar (advisory_*, flaky on shared runners):
+  // .github/scripts/check_bench.py hard-fails on the former and only warns
+  // on the latter.
   PT_GAUGE("verdict_identical", identical ? 1.0 : 0.0);
-  PT_GAUGE("verdict_cache_ok", cache_ok ? 1.0 : 0.0);
   PT_GAUGE("verdict_alignment_identity", align_identical ? 1.0 : 0.0);
   PT_GAUGE("advisory_evolution_speedup_ge5",
            evolution_speedup >= 5.0 ? 1.0 : 0.0);
@@ -323,8 +271,7 @@ int main() {
            alignment_speedup >= 3.0 ? 1.0 : 0.0);
   bench::write_telemetry("BENCH_session.json", "perf_session");
 
-  bool ok = identical && cache_ok && align_identical &&
-            evolution_speedup >= 5.0;
+  bool ok = identical && align_identical && evolution_speedup >= 5.0;
   std::printf("\nperf_session: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

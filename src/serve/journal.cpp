@@ -38,15 +38,17 @@ enum class RecordType : std::uint8_t {
 };
 
 /// The open_study-settable configuration fields, in Create-record order.
-/// Everything else (tracking params, cache size cap, ...) comes from the
-/// daemon's base configuration at recovery time, same as at open time.
+/// Everything else (tracking params, ...) comes from the daemon's base
+/// configuration at recovery time, same as at open time. The last field
+/// once held a frame-cache directory; it is written empty and read back
+/// and dropped, so the v1 layout, and every existing journal, stays valid.
 void encode_config(store::BinWriter& w, const tracking::SessionConfig& c) {
   w.f64(c.clustering.dbscan.eps);
   w.u64(static_cast<std::uint64_t>(c.clustering.dbscan.min_pts));
   w.f64(c.clustering.min_cluster_time_fraction);
   w.u8(c.resilience.lenient ? 1 : 0);
   w.f64(c.resilience.max_gap_fraction);
-  w.str(c.cache.directory);
+  w.str("");
 }
 
 void decode_config(store::BinReader& r, tracking::SessionConfig& c) {
@@ -55,7 +57,7 @@ void decode_config(store::BinReader& r, tracking::SessionConfig& c) {
   c.clustering.min_cluster_time_fraction = r.f64();
   c.resilience.lenient = r.u8() != 0;
   c.resilience.max_gap_fraction = r.f64();
-  c.cache.directory = r.str();
+  r.str();
 }
 
 std::string encode_header() {
@@ -625,7 +627,6 @@ RecoveryReport recover_state_dir(const JournalConfig& config,
     merged.clustering.min_cluster_time_fraction =
         parsed.study.config.clustering.min_cluster_time_fraction;
     merged.resilience = parsed.study.config.resilience;
-    merged.cache.directory = parsed.study.config.cache.directory;
     parsed.study.config = std::move(merged);
 
     parsed.study.records += 1;  // the create record

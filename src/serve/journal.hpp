@@ -9,8 +9,7 @@
 //
 //   <state-dir>/<escaped-study-name>.journal
 //
-// framed with the same primitives as the PR 4 frame cache (store/serialize
-// BinWriter + fnv1a64):
+// framed with the store/serialize primitives (BinWriter + fnv1a64):
 //
 //   header  := "PTJL" u32 version
 //   record  := u32 payload_len | u64 fnv1a64(payload) | payload
@@ -18,11 +17,12 @@
 //
 // The Create record pins the study's name and the open_study-settable
 // configuration (eps, min_pts, min-cluster fraction, lenience, gap budget,
-// cache dir) so a restarted daemon reopens the study exactly as the
-// analyst configured it. Append records carry the log entry plus the
-// client-supplied idempotency `seq`; Remove is the close_study tombstone,
-// written and fsynced before the file is unlinked so a crash between the
-// two still removes the study on the next boot.
+// and a retired string field, written empty) so a restarted daemon
+// reopens the study exactly as the analyst configured it. Append records
+// carry the log entry plus the client-supplied idempotency `seq`; Remove
+// is the close_study tombstone, written and fsynced before the file is
+// unlinked so a crash between the two still removes the study on the next
+// boot.
 //
 // Write-ahead discipline: the service journals an append *before* applying
 // it in memory, so every state a reader can observe is recoverable. On a

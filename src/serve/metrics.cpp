@@ -63,12 +63,6 @@ ServeMetrics::ServeMetrics(bool enabled) : enabled_(enabled) {
                   "Seconds since the service started");
   registry_.counter("perftrackd_overloaded_total", "",
                     "Connections refused at the open-connection cap");
-  registry_.gauge("perftrackd_frame_cache_hits", "",
-                  "Frame-cache hits over resident sessions");
-  registry_.gauge("perftrackd_frame_cache_misses", "",
-                  "Frame-cache misses over resident sessions");
-  registry_.gauge("perftrackd_frame_cache_stores", "",
-                  "Frame-cache stores over resident sessions");
   registry_.gauge("perftrackd_render_cache_hits", "",
                   "Render-cache hits (lock-free read responses)");
   registry_.gauge("perftrackd_render_cache_misses", "",

@@ -32,8 +32,6 @@
 //                                        the cap
 //   perftrackd_studies / _resident_sessions  gauge  registry occupancy
 //   perftrackd_uptime_seconds            gauge  since service start
-//   perftrackd_frame_cache_{hits,misses,stores}  gauge  cache totals
-//                                        aggregated over resident sessions
 //
 // Lock-wait is accumulated into a thread-local request context that
 // TrackingService::handle() resets on entry, so the server (and the

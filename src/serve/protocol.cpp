@@ -86,7 +86,6 @@ Request parse_request(const std::string& line) {
 }
 
 std::string render_response(const Response& response) {
-  if (!response.raw.empty()) return response.raw;
   std::string out;
   // Room for the envelope and the newline the transports append, so a
   // large result is copied once.

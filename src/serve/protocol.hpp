@@ -87,20 +87,13 @@ struct Request {
 Request parse_request(const std::string& line);
 
 /// One response under construction. Handlers fill `result` through the
-/// writer; the dispatcher turns caught ServeErrors into error responses.
+/// writer; the service turns caught ServeErrors into error responses.
 struct Response {
   std::string id;                  ///< raw JSON id echoed from the request
   bool ok = true;
   ErrorCode code = ErrorCode::Internal;  ///< meaningful when !ok
   std::string message;             ///< error message when !ok
   std::string result_json;         ///< rendered result object when ok
-
-  /// Verbatim passthrough: when non-empty, render_response() returns this
-  /// exact line and every other field is ignored. The shard front answers
-  /// proxied requests with the worker's bytes unchanged (id echo
-  /// included), which is what makes sharded reads byte-identical to a
-  /// single daemon.
-  std::string raw;
 };
 
 /// Render `response` as one NDJSON line (no trailing newline).

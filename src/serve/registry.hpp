@@ -17,10 +17,8 @@
 // drops its heavy state — the TrackingSession with its memoised frames and
 // the cached TrackingResult — but keeps the append log: the ordered list
 // of trace paths / inline texts / gaps that *define* the study. The next
-// request that needs a session replays the log into a fresh one, and the
-// per-experiment clustering comes back out of the PR 4 on-disk frame cache
-// instead of being recomputed, so a re-opened study warms from cache (the
-// "Rebuilds" and frame_cache_hits counters make this visible).
+// request that needs a session replays the log into a fresh one, which
+// reclusters every experiment (the "rebuilds" counter makes this visible).
 
 #include <atomic>
 #include <cstdint>
@@ -128,8 +126,8 @@ private:
 bool evict_study(StudyState& study);
 
 /// Ensure `study` has a live session, replaying the append log if it was
-/// evicted (frame clustering warms from the on-disk cache). Caller must
-/// hold the study's mutex exclusively.
+/// evicted (the rebuilt session reclusters on its next retrack). Caller
+/// must hold the study's mutex exclusively.
 void ensure_session(StudyState& study);
 
 }  // namespace perftrack::serve

@@ -35,16 +35,16 @@ namespace {
 /// Background idle-study eviction; joined (and woken) on destruction.
 class Sweeper {
 public:
-  Sweeper(Dispatcher& dispatcher, std::uint64_t interval_ms) {
+  Sweeper(TrackingService& service, std::uint64_t interval_ms) {
     if (interval_ms == 0) return;
-    thread_ = std::thread([this, &dispatcher, interval_ms] {
+    thread_ = std::thread([this, &service, interval_ms] {
       std::unique_lock<std::mutex> lock(mutex_);
       while (!stop_) {
         if (wake_.wait_for(lock, std::chrono::milliseconds(interval_ms),
                            [this] { return stop_; }))
           break;
         lock.unlock();
-        dispatcher.sweep();
+        service.sweep();
         lock.lock();
       }
     });
@@ -103,10 +103,10 @@ void log_request(const ServerOptions& options, const RequestRecord& record,
 /// latency are recorded under the request's method ("invalid" for lines
 /// that never parsed). Rejections (overlong or bad lines, draining) count
 /// the error without a latency sample for the phases that never ran.
-void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
+void serve_requests(TrackingService& service, const ServerOptions& options,
                     const std::function<LineRead(std::string&)>& next_line,
                     const std::function<void(const std::string&)>& write) {
-  ServeMetrics& metrics = dispatcher.metrics();
+  ServeMetrics& metrics = service.metrics();
   // Per-connection memo of the method's metrics handle: protocol clients
   // overwhelmingly repeat one method down a connection (a reader pool
   // floods `regions`), so the common case records latency through a
@@ -155,7 +155,7 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
     const std::uint64_t t_parsed = obs::now_ns();
     metrics.record_phase_ns(ServeMetrics::Phase::Parse, t_parsed - t_read);
 
-    if (dispatcher.shutdown_requested()) {
+    if (service.shutdown_requested()) {
       reject(request, request.method.c_str(), ErrorCode::ShuttingDown,
              "server is draining");
       continue;
@@ -166,7 +166,7 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
       memo_slot = metrics.method_metrics(memo_method);
     }
 
-    const Response response = dispatcher.dispatch(request, line);
+    const Response response = service.handle(request);
     const std::uint64_t t_handled = obs::now_ns();
     const std::uint64_t lock_ns = ServeMetrics::context_lock_wait_ns();
     write(response_line(response));
@@ -180,14 +180,9 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
       record.id = request.id;
       record.method = request.method;
       record.study = request.study;
-      // A verbatim passthrough (shard front) carries the worker's outcome
-      // opaquely inside raw — log it as proxied, not as an error of the
-      // front's own.
-      record.outcome =
-          !response.raw.empty()
-              ? "proxied"
-              : response.ok ? "ok"
-                            : std::string(error_code_name(response.code));
+      record.outcome = response.ok
+                           ? "ok"
+                           : std::string(error_code_name(response.code));
       record.parse_ns = t_parsed - t_read;
       record.lock_ns = lock_ns;
       record.handler_ns = t_handled - t_parsed;
@@ -203,15 +198,15 @@ void serve_requests(Dispatcher& dispatcher, const ServerOptions& options,
 
 }  // namespace
 
-int serve_stream(Dispatcher& dispatcher, std::istream& in,
+int serve_stream(TrackingService& service, std::istream& in,
                  std::ostream& out, const ServerOptions& options) {
-  Sweeper sweeper(dispatcher, options.sweep_interval_ms);
+  Sweeper sweeper(service, options.sweep_interval_ms);
   // The istream transport necessarily buffers the line before the cap
   // check (getline owns the read loop); the fd transport below enforces
   // the cap incrementally. Protocol behaviour is identical.
   const std::size_t cap = options.max_line_bytes;
   serve_requests(
-      dispatcher, options,
+      service, options,
       [&in, cap](std::string& line) {
         if (!std::getline(in, line)) return LineRead::Eof;
         if (cap != 0 && line.size() > cap) {
@@ -374,8 +369,8 @@ private:
 
 /// Answer a connection beyond the cap with one `overloaded` error line,
 /// before reading anything from it, and close it.
-void refuse(Dispatcher& dispatcher, int fd, std::size_t capacity) {
-  ServeMetrics& metrics = dispatcher.metrics();
+void refuse(TrackingService& service, int fd, std::size_t capacity) {
+  ServeMetrics& metrics = service.metrics();
   if (metrics.enabled())
     metrics.registry().counter("perftrackd_overloaded_total").add();
   metrics.count_error(error_code_name(ErrorCode::Overloaded));
@@ -389,7 +384,7 @@ void refuse(Dispatcher& dispatcher, int fd, std::size_t capacity) {
 /// Accept loop shared by the AF_UNIX and TCP transports: signal handling,
 /// one thread per connection up to the cap, and a full drain before
 /// returning. Owns (and closes) `listen_fd`.
-int run_socket_server(Dispatcher& dispatcher, int listen_fd,
+int run_socket_server(TrackingService& service, int listen_fd,
                       const ServerOptions& options) {
   if (::pipe(g_signal_pipe) != 0) {
     PT_LOG(Error) << "serve: pipe(): " << std::strerror(errno);
@@ -406,7 +401,7 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
   sigemptyset(&ignore.sa_mask);
   ::sigaction(SIGPIPE, &ignore, &old_pipe);
 
-  const auto serve_connection = [&dispatcher, &options](int fd) {
+  const auto serve_connection = [&service, &options](int fd) {
     // Raw fd reads, no stdio buffering to fight with shutdown().
     LineFramer framer(options.max_line_bytes);
     const auto read_fd = [fd](char* into, std::size_t room) -> ssize_t {
@@ -416,7 +411,7 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
       }
     };
     serve_requests(
-        dispatcher, options,
+        service, options,
         [&framer, &read_fd](std::string& line) {
           return framer.next(line, read_fd);
         },
@@ -425,13 +420,13 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
 
   {
     Connections connections(options.queue_capacity);
-    dispatcher.set_queue_stats([&connections] { return connections.stats(); });
-    Sweeper sweeper(dispatcher, options.sweep_interval_ms);
+    service.set_queue_stats([&connections] { return connections.stats(); });
+    Sweeper sweeper(service, options.sweep_interval_ms);
     while (true) {
       pollfd fds[2] = {{listen_fd, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
       int ready = ::poll(fds, 2, 200);
       connections.reap();
-      if (dispatcher.shutdown_requested()) break;
+      if (service.shutdown_requested()) break;
       if (ready < 0) {
         if (errno == EINTR) continue;
         PT_LOG(Error) << "serve: poll(): " << std::strerror(errno);
@@ -449,10 +444,10 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
         continue;
       }
       if (!connections.try_open(client, serve_connection))
-        refuse(dispatcher, client, options.queue_capacity);
+        refuse(service, client, options.queue_capacity);
     }
     connections.close_all();
-    dispatcher.set_queue_stats(nullptr);
+    service.set_queue_stats(nullptr);
   }
 
   ::sigaction(SIGTERM, &old_term, nullptr);
@@ -468,7 +463,7 @@ int run_socket_server(Dispatcher& dispatcher, int listen_fd,
 
 }  // namespace
 
-int serve_unix_socket(Dispatcher& dispatcher, const std::string& path,
+int serve_unix_socket(TrackingService& service, const std::string& path,
                       const ServerOptions& options) {
   sockaddr_un address{};
   if (path.size() >= sizeof(address.sun_path)) {
@@ -499,12 +494,12 @@ int serve_unix_socket(Dispatcher& dispatcher, const std::string& path,
   }
 
   PT_LOG(Info) << "perftrackd listening on " << path;
-  const int code = run_socket_server(dispatcher, listen_fd, options);
+  const int code = run_socket_server(service, listen_fd, options);
   ::unlink(path.c_str());
   return code;
 }
 
-int serve_tcp(Dispatcher& dispatcher, const std::string& host,
+int serve_tcp(TrackingService& service, const std::string& host,
               std::uint16_t port, const ServerOptions& options,
               const std::function<void(std::uint16_t)>& on_listening) {
   sockaddr_in address{};
@@ -541,7 +536,7 @@ int serve_tcp(Dispatcher& dispatcher, const std::string& host,
 
   PT_LOG(Info) << "perftrackd listening on " << host << ":" << actual_port;
   if (on_listening) on_listening(actual_port);
-  return run_socket_server(dispatcher, listen_fd, options);
+  return run_socket_server(service, listen_fd, options);
 }
 
 }  // namespace perftrack::serve

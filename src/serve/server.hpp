@@ -4,7 +4,7 @@
 //
 // Request flow, on each connection's own thread:
 //
-//   read line -> parse -> dispatch -> write response -> read next line
+//   read line -> parse -> handle -> write response -> read next line
 //
 // * One request in flight per connection: the next line is read only
 //   after the previous response is written, so a pipelined
@@ -26,10 +26,7 @@
 // (perftrackd --stdio, and the unit tests) as a single connection on the
 // calling thread; serve_unix_socket() listens on a local AF_UNIX stream
 // socket and serve_tcp() on a TCP host:port (--listen), each with one
-// thread per connection. Every transport serves a Dispatcher —
-// TrackingService in a plain daemon, ShardFront in a --front daemon — and
-// hands it the raw request line next to the parsed request so a
-// forwarding dispatcher can pass bytes through verbatim.
+// thread per connection. Every transport serves one TrackingService.
 
 #include <cstdint>
 #include <functional>
@@ -37,7 +34,6 @@
 #include <string>
 
 #include "serve/access_log.hpp"
-#include "serve/dispatcher.hpp"
 #include "serve/service.hpp"
 
 namespace perftrack::serve {
@@ -74,7 +70,7 @@ struct ServerOptions {
 /// Serve NDJSON requests from `in` to `out`, one at a time on the calling
 /// thread, until EOF or a `shutdown` request. Returns the process exit
 /// code (0, or 1 on an unrecoverable transport error).
-int serve_stream(Dispatcher& dispatcher, std::istream& in,
+int serve_stream(TrackingService& service, std::istream& in,
                  std::ostream& out, const ServerOptions& options);
 
 /// Listen on an AF_UNIX stream socket at `path` until SIGTERM/SIGINT or a
@@ -83,7 +79,7 @@ int serve_stream(Dispatcher& dispatcher, std::istream& in,
 /// probed (connect) and unlinked when dead; a live daemon's socket, or a
 /// non-socket file, is never removed (returns 1). Returns the process exit
 /// code.
-int serve_unix_socket(Dispatcher& dispatcher, const std::string& path,
+int serve_unix_socket(TrackingService& service, const std::string& path,
                       const ServerOptions& options);
 
 /// Listen on TCP `host`:`port` (--listen). Same protocol, framing, and
@@ -91,7 +87,7 @@ int serve_unix_socket(Dispatcher& dispatcher, const std::string& path,
 /// IPv4 address ("127.0.0.1", "0.0.0.0"). Port 0 binds an ephemeral port;
 /// `on_listening`, when set, receives the actually bound port before the
 /// first accept (tests use it to connect). Returns the process exit code.
-int serve_tcp(Dispatcher& dispatcher, const std::string& host,
+int serve_tcp(TrackingService& service, const std::string& host,
               std::uint16_t port, const ServerOptions& options,
               const std::function<void(std::uint16_t)>& on_listening = {});
 

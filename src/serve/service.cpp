@@ -461,9 +461,6 @@ std::string TrackingService::do_open_study(const Request& request) {
       param_bool(request, "lenient", config.resilience.lenient);
   config.resilience.max_gap_fraction = param_number(
       request, "max_gap_fraction", config.resilience.max_gap_fraction);
-  std::string cache_dir = param_string(request, "cache_dir");
-  if (!cache_dir.empty()) config.cache.directory = cache_dir;
-  if (param_bool(request, "no_cache", false)) config.cache.directory.clear();
 
   std::vector<std::string> problems = config.validate();
   if (!problems.empty()) {
@@ -500,7 +497,6 @@ std::string TrackingService::do_open_study(const Request& request) {
   json.begin_object();
   json.key("study").value(request.study);
   json.key("lenient").value(study->config.resilience.lenient);
-  json.key("cache").value(study->config.cache.enabled());
   json.end_object();
   return json.str();
 }
@@ -787,14 +783,10 @@ std::string TrackingService::do_stats(const Request& request) {
       const tracking::SessionStats& s = study->session->stats();
       json.key("session").begin_object();
       json.key("frames_clustered").value(s.frames_clustered);
-      json.key("frames_from_cache").value(s.frames_from_cache);
       json.key("frames_memoized").value(s.frames_memoized);
       json.key("pairs_tracked").value(s.pairs_tracked);
       json.key("pairs_memoized").value(s.pairs_memoized);
       json.key("scale_invalidations").value(s.scale_invalidations);
-      json.key("cache_hits").value(s.cache.hits);
-      json.key("cache_misses").value(s.cache.misses);
-      json.key("cache_stores").value(s.cache.stores);
       json.end_object();
     }
     json.end_object();
@@ -802,7 +794,6 @@ std::string TrackingService::do_stats(const Request& request) {
   }
 
   std::uint64_t appends = 0, retracks = 0, rebuilds = 0, evictions = 0;
-  std::uint64_t cache_hits = 0, cache_misses = 0, cache_stores = 0;
   std::size_t resident = 0;
   const std::vector<std::string> names = registry_.names();
   for (const std::string& name : names) {
@@ -817,13 +808,7 @@ std::string TrackingService::do_stats(const Request& request) {
     retracks += study->retracks;
     rebuilds += study->rebuilds;
     evictions += study->evictions;
-    if (study->session != nullptr) {
-      ++resident;
-      const tracking::SessionStats& s = study->session->stats();
-      cache_hits += s.cache.hits;
-      cache_misses += s.cache.misses;
-      cache_stores += s.cache.stores;
-    }
+    if (study->session != nullptr) ++resident;
   }
   json.key("studies").value(static_cast<std::uint64_t>(names.size()));
   json.key("resident_sessions").value(static_cast<std::uint64_t>(resident));
@@ -833,11 +818,6 @@ std::string TrackingService::do_stats(const Request& request) {
   json.key("evictions").value(evictions);
   json.key("uptime_ns").value(obs::now_ns() - start_ns_);
   json.key("draining").value(shutdown_requested());
-  json.key("cache").begin_object();
-  json.key("hits").value(cache_hits);
-  json.key("misses").value(cache_misses);
-  json.key("stores").value(cache_stores);
-  json.end_object();
   const RenderCache::Counters rc = render_cache_.counters();
   json.key("render_cache").begin_object();
   json.key("hits").value(rc.hits);
@@ -881,7 +861,6 @@ std::string TrackingService::do_stats(const Request& request) {
 
 void TrackingService::refresh_gauges() {
   obs::MetricsRegistry& reg = metrics_.registry();
-  std::uint64_t cache_hits = 0, cache_misses = 0, cache_stores = 0;
   std::size_t resident = 0;
   const std::vector<std::string> names = registry_.names();
   for (const std::string& name : names) {
@@ -892,24 +871,13 @@ void TrackingService::refresh_gauges() {
       continue;
     }
     std::shared_lock lock(study->mutex);
-    if (study->session == nullptr) continue;
-    ++resident;
-    const tracking::SessionStats& s = study->session->stats();
-    cache_hits += s.cache.hits;
-    cache_misses += s.cache.misses;
-    cache_stores += s.cache.stores;
+    if (study->session != nullptr) ++resident;
   }
   reg.gauge("perftrackd_studies").set(static_cast<double>(names.size()));
   reg.gauge("perftrackd_resident_sessions")
       .set(static_cast<double>(resident));
   reg.gauge("perftrackd_uptime_seconds")
       .set(static_cast<double>(obs::now_ns() - start_ns_) / 1e9);
-  reg.gauge("perftrackd_frame_cache_hits")
-      .set(static_cast<double>(cache_hits));
-  reg.gauge("perftrackd_frame_cache_misses")
-      .set(static_cast<double>(cache_misses));
-  reg.gauge("perftrackd_frame_cache_stores")
-      .set(static_cast<double>(cache_stores));
   const RenderCache::Counters rc = render_cache_.counters();
   reg.gauge("perftrackd_render_cache_hits").set(static_cast<double>(rc.hits));
   reg.gauge("perftrackd_render_cache_misses")

@@ -39,13 +39,22 @@
 #include <string>
 #include <vector>
 
-#include "serve/dispatcher.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/render_cache.hpp"
 
 namespace perftrack::serve {
+
+/// Open-connection counters of a socket transport, injected by the server
+/// layer so the `stats` endpoint (its `queue` block) can report
+/// backpressure without the service owning the connections.
+struct QueueStats {
+  std::size_t capacity = 0;    ///< open-connection cap (--queue)
+  std::size_t in_flight = 0;   ///< open connections
+  std::uint64_t admitted = 0;  ///< connections accepted
+  std::uint64_t rejected = 0;  ///< connections refused as `overloaded`
+};
 
 struct ServiceConfig {
   /// Base session configuration; open_study parameters override per study.
@@ -75,7 +84,7 @@ struct ServiceConfig {
   std::size_t render_cache_capacity = 4096;
 };
 
-class TrackingService : public Dispatcher {
+class TrackingService {
 public:
   explicit TrackingService(ServiceConfig config = {});
 
@@ -83,26 +92,18 @@ public:
   /// error response. Thread-safe.
   Response handle(const Request& request);
 
-  /// Dispatcher seam for the transports; the raw line is unused here
-  /// (the shard front is the dispatcher that forwards it).
-  Response dispatch(const Request& request,
-                    const std::string& raw_line) override {
-    (void)raw_line;
-    return handle(request);
-  }
-
   /// Convenience: parse one NDJSON line and handle it.
   Response handle_line(const std::string& line);
 
   /// Set by a "shutdown" request; the server drains and exits when it
   /// sees this.
-  bool shutdown_requested() const override {
+  bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_acquire);
   }
 
   /// Run the idle-eviction policy now (also exposed as the "sweep"
   /// method). Returns the number of sessions evicted.
-  std::size_t sweep() override;
+  std::size_t sweep();
 
   /// Fsync every study's unsynced journal records (the graceful-drain /
   /// SIGTERM path; perftrackd calls it after the serve loop returns).
@@ -111,16 +112,16 @@ public:
 
   /// Installed by the socket transports so `stats` can report
   /// open-connection backpressure.
-  void set_queue_stats(std::function<QueueStats()> fn) override {
+  void set_queue_stats(std::function<QueueStats()> fn) {
     queue_stats_ = std::move(fn);
   }
 
   /// The live metrics plane. The server records transport-side phases
   /// through it; the HTTP endpoint samples it.
-  ServeMetrics& metrics() override { return metrics_; }
+  ServeMetrics& metrics() { return metrics_; }
 
   /// Refresh the occupancy gauges (studies, resident sessions, queue,
-  /// uptime, cache totals) and render the registry in Prometheus text
+  /// uptime, render-cache totals) and render the registry in Prometheus text
   /// exposition format — the body of `GET /metrics`.
   std::string render_prometheus_metrics();
 
@@ -175,7 +176,7 @@ private:
   /// Retrack under an already-held exclusive lock.
   void retrack_locked(StudyState& study);
 
-  /// Set the occupancy/queue/cache gauges from current registry state.
+  /// Set the occupancy/queue/render-cache gauges from current state.
   void refresh_gauges();
 
   /// Boot-time recovery: scan the state dir and repopulate the registry

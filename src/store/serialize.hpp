@@ -1,14 +1,14 @@
 #pragma once
-// Binary serialisation primitives for the frame store.
+// Binary serialisation primitives for perftrackd's journal.
 //
 // A deliberately tiny, dependency-free encoding layer: little-endian
 // fixed-width integers, IEEE-754 doubles copied byte-for-byte (so a
 // save/load round trip is bit-exact), and length-prefixed strings and
 // vectors. BinReader is the adversarial half: every read is bounds-checked
 // and every length prefix is validated against the bytes actually left, so
-// a truncated or corrupted cache entry surfaces as ParseError — never as
-// out-of-bounds access or a multi-gigabyte allocation (fuzzed by
-// tests/fuzz/fuzz_frame.cpp).
+// a truncated or corrupted journal record surfaces as ParseError — never
+// as out-of-bounds access or a multi-gigabyte allocation (fuzzed by
+// tests/fuzz/fuzz_journal.cpp).
 
 #include <cstdint>
 #include <cstring>

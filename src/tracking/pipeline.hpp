@@ -58,7 +58,6 @@ public:
   }
   const TrackingParams& tracking() const { return config_.tracking; }
   const ResilienceParams& resilience() const { return config_.resilience; }
-  const store::StoreConfig& cache() const { return config_.cache; }
 
   /// Sequence slots added so far (experiments plus pre-declared gaps).
   std::size_t experiment_count() const { return entries_.size(); }

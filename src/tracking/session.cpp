@@ -1,7 +1,6 @@
 #include "tracking/session.hpp"
 
 #include <cmath>
-#include <filesystem>
 #include <utility>
 
 #include "common/error.hpp"
@@ -76,14 +75,6 @@ std::vector<std::string> SessionConfig::validate() const {
     problems.push_back("tracking.log_scale must be empty or match the axis count");
   if (!in_unit(resilience.max_gap_fraction))
     problems.push_back("resilience.max_gap_fraction must be in [0, 1]");
-  if (!cache.directory.empty()) {
-    std::error_code ec;
-    auto status = std::filesystem::status(cache.directory, ec);
-    if (!ec && std::filesystem::exists(status) &&
-        !std::filesystem::is_directory(status))
-      problems.push_back("cache.directory '" + cache.directory +
-                         "' exists but is not a directory");
-  }
   return problems;
 }
 
@@ -98,7 +89,7 @@ void SessionConfig::validate_or_throw() const {
 }
 
 TrackingSession::TrackingSession(SessionConfig config)
-    : config_(std::move(config)), cache_(config_.cache) {
+    : config_(std::move(config)) {
   config_.validate_or_throw();
 }
 
@@ -133,11 +124,9 @@ void TrackingSession::cluster_new_slots() {
 
   // Serial pass in slot order: strict-mode gap errors and failpoint
   // evaluation keep their position-dependent semantics ("@i" poisons the
-  // i-th clustered experiment) under any thread count, and cache probes
-  // stay single-threaded. Already-attempted slots are memoised and consume
-  // no failpoint evaluations.
+  // i-th clustered experiment) under any thread count. Already-attempted
+  // slots are memoised and consume no failpoint evaluations.
   std::vector<std::size_t> to_build;
-  std::map<std::size_t, std::string> pending_key;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (slot.trace == nullptr) {
@@ -158,17 +147,6 @@ void TrackingSession::cluster_new_slots() {
       slot.attempted = true;
       slot.reason = error.what();
       continue;
-    }
-    if (cache_.enabled()) {
-      std::string key = store::FrameStore::key_for(*slot.trace,
-                                                   config_.clustering);
-      if (std::optional<cluster::Frame> cached = cache_.load(key, slot.trace)) {
-        slot.frame = std::move(cached);
-        slot.attempted = true;
-        ++stats_.frames_from_cache;
-        continue;
-      }
-      pending_key.emplace(i, std::move(key));
     }
     to_build.push_back(i);
   }
@@ -205,8 +183,6 @@ void TrackingSession::cluster_new_slots() {
       if (outcome.frame.has_value()) {
         slot.frame = std::move(outcome.frame);
         ++stats_.frames_clustered;
-        auto key = pending_key.find(to_build[t]);
-        if (key != pending_key.end()) cache_.store(key->second, *slot.frame);
         continue;
       }
       slot.reason = std::move(outcome.error);
@@ -217,7 +193,6 @@ void TrackingSession::cluster_new_slots() {
       }
     }
   }
-  stats_.cache = cache_.stats();
 }
 
 TrackingResult TrackingSession::retrack() {

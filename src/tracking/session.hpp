@@ -22,11 +22,7 @@
 // over ALL experiments guards the pair memo: an appended frame that
 // extends a range invalidates every memoised pair (they are re-tracked
 // from the memoised frames, which is still cheap next to re-clustering).
-//
-// Frames can additionally be cached on disk through the content-addressed
-// store (SessionConfig::cache), so even a brand-new session — a fresh
-// process re-running an analysis script — skips the clustering of every
-// experiment it has seen before. docs/SESSIONS.md covers the full model.
+// docs/SESSIONS.md covers the full model.
 
 #include <cstdint>
 #include <map>
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "cluster/frame.hpp"
-#include "store/frame_store.hpp"
 #include "tracking/frame_alignment.hpp"
 #include "tracking/tracker.hpp"
 
@@ -55,8 +50,8 @@ struct ResilienceParams {
 };
 
 /// The complete, validated configuration of a tracking run — clustering,
-/// tracking, resilience and caching in one aggregate (replacing the old
-/// grab-bag of pipeline setters). Defaults reproduce the paper's setup:
+/// tracking and resilience in one aggregate (replacing the old grab-bag of
+/// pipeline setters). Defaults reproduce the paper's setup:
 /// Instructions x IPC metric space with a log-scaled instruction axis.
 struct SessionConfig {
   SessionConfig();
@@ -64,7 +59,6 @@ struct SessionConfig {
   cluster::ClusteringParams clustering;
   TrackingParams tracking;
   ResilienceParams resilience;
-  store::StoreConfig cache;
 
   /// Every problem with this configuration, one message each — empty means
   /// valid. Reports all problems at once rather than failing on the first.
@@ -77,14 +71,12 @@ struct SessionConfig {
 /// Work/reuse accounting for one session (cumulative across retracks).
 struct SessionStats {
   std::uint64_t frames_clustered = 0;  ///< built by running the pipeline
-  std::uint64_t frames_from_cache = 0; ///< loaded from the disk store
   std::uint64_t frames_memoized = 0;   ///< reused in-memory across retracks
   std::uint64_t pairs_tracked = 0;     ///< track_pair executions
   std::uint64_t pairs_memoized = 0;    ///< pair relations reused
   std::uint64_t scale_invalidations = 0;  ///< pair memo flushes (scale moved)
   std::uint64_t alignments_computed = 0;  ///< star alignments actually run
   std::uint64_t alignments_memoized = 0;  ///< profiles shared across slots
-  store::StoreStats cache;             ///< disk store counters
 };
 
 class TrackingSession {
@@ -131,7 +123,6 @@ private:
   void cluster_new_slots();
 
   SessionConfig config_;
-  store::FrameStore cache_;
   std::vector<Slot> slots_;
 
   /// Pair memo: (left slot, right slot) of consecutive surviving frames ->

@@ -167,8 +167,10 @@ TEST(ServeMetricsTest, StatsCarriesLatencySectionAndCacheTotals) {
 
   const obs::JsonValue stats = result_of(service.handle(req("stats")));
   EXPECT_GT(stats.at("uptime_ns").number, 0.0);
-  ASSERT_TRUE(stats.has("cache"));
-  EXPECT_GE(stats.at("cache").at("hits").number, 0.0);
+  // Cache totals are the render cache's; there is no other cache block.
+  ASSERT_TRUE(stats.has("render_cache"));
+  EXPECT_GE(stats.at("render_cache").at("hits").number, 0.0);
+  EXPECT_FALSE(stats.has("cache"));
   ASSERT_TRUE(stats.has("latency"));
   const obs::JsonValue& latency = stats.at("latency");
   ASSERT_TRUE(latency.has("append_experiment"));

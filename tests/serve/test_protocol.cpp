@@ -129,14 +129,5 @@ TEST(ProtocolV2Test, UnknownMethodsStayInsideTheClosedEnum) {
   EXPECT_EQ(error_code_name(ErrorCode::UnknownMethod), "unknown-method");
 }
 
-TEST(ProtocolV2Test, RawPassthroughRendersVerbatim) {
-  // The shard front answers proxied requests with the worker's bytes
-  // unchanged; render_response must not touch them.
-  Response proxied;
-  proxied.ok = false;  // ignored: raw wins over every other field
-  proxied.raw = R"({"id":"x-1","ok":true,"result":{"pong":true,"proto":2}})";
-  EXPECT_EQ(render_response(proxied), proxied.raw);
-}
-
 }  // namespace
 }  // namespace perftrack::serve

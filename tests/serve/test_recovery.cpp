@@ -177,6 +177,46 @@ TEST_F(RecoveryTest, RestartAnswersRegionsAndTrendsIdentically) {
   EXPECT_DOUBLE_EQ(journal.at("quarantined").number, 0.0);
 }
 
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST_F(RecoveryTest, FrameCacheEraJournalRecoversIdentically) {
+  // A journal written before the frame cache was removed: study "legacy",
+  // opened with {"cache_dir":"/tmp/pt-legacy-cache"} under durable_config()
+  // and given two inline appends (run1/101, run2/102). Its create record
+  // still carries that directory. The committed regions/trends bytes are
+  // what that build answered for the same two appends (the same with and
+  // without a cache directory). Recovery reads the retired field, drops
+  // it, and must answer the same bytes.
+  const fs::path data = fs::path(PT_TEST_DATA_DIR) / "serve" / "data";
+  const fs::path state = dir_ / "state";
+  fs::create_directories(state);
+  fs::copy_file(data / "legacy_cache_dir.journal",
+                state / journal_file_name("legacy"));
+
+  TrackingService restarted(durable_config());
+  obs::JsonValue listing = ok(restarted, req("list_studies"));
+  ASSERT_EQ(listing.at("studies").array.size(), 1u);
+  EXPECT_EQ(listing.at("studies").array[0].string, "legacy");
+
+  Response regions = restarted.handle(req("regions", "legacy"));
+  ASSERT_TRUE(regions.ok) << regions.message;
+  EXPECT_EQ(regions.result_json,
+            file_bytes(data / "legacy_cache_dir_regions.json"));
+  Response trends = restarted.handle(req("trends", "legacy"));
+  ASSERT_TRUE(trends.ok) << trends.message;
+  EXPECT_EQ(trends.result_json,
+            file_bytes(data / "legacy_cache_dir_trends.json"));
+
+  obs::JsonValue stats = ok(restarted, req("stats"));
+  EXPECT_DOUBLE_EQ(stats.at("journal").at("recovered").number, 1.0);
+  EXPECT_DOUBLE_EQ(stats.at("journal").at("quarantined").number, 0.0);
+}
+
 TEST_F(RecoveryTest, TruncatedJournalRecoversThePrefix) {
   {
     TrackingService service(durable_config());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -312,31 +313,30 @@ TEST(ServiceTest, EvictedStudyRebuildsWithIdenticalResults) {
   EXPECT_EQ(again.at("text").string, before.at("text").string);
 }
 
-TEST(ServiceTest, ReopenedStudyWarmsFromFrameCache) {
-  fs::path cache = fs::path(::testing::TempDir()) / "pt_serve_cache";
-  fs::remove_all(cache);
+TEST(ServiceTest, OpenStudyIgnoresRetiredCacheParams) {
+  // Clients written against the frame-cache era still send cache_dir and
+  // no_cache. Both are ignored: even a cache_dir naming a regular file,
+  // once an invalid-config error, opens the study and leaves the file be.
+  fs::path file = fs::path(::testing::TempDir()) / "pt_serve_not_a_dir";
+  fs::remove_all(file);
+  { std::ofstream(file) << "occupied"; }
 
-  ServiceConfig config = test_config();
-  config.session.cache.directory = cache.string();
-  TrackingService service(config);
-  ok(service, req("open_study", "s"));
-  append_inline(service, "s", "A", 1);
-  append_inline(service, "s", "B", 2);
-  ok(service, req("retrack", "s"));
-  obs::JsonValue cold = ok(service, req("stats", "s"));
-  EXPECT_EQ(static_cast<int>(cold.at("session").at("cache_stores").number), 2);
-  EXPECT_EQ(
-      static_cast<int>(cold.at("session").at("frames_from_cache").number), 0);
-
-  ok(service, req("evict", "s"));
-  ok(service, req("regions", "s"));  // rebuild
-
-  obs::JsonValue warm = ok(service, req("stats", "s"));
-  // The rebuilt session clustered nothing: both frames came off disk.
-  EXPECT_EQ(
-      static_cast<int>(warm.at("session").at("frames_from_cache").number), 2);
-  EXPECT_EQ(static_cast<int>(warm.at("session").at("cache_hits").number), 2);
-  fs::remove_all(cache);
+  TrackingService service(test_config());
+  Request open = req("open_study", "legacy");
+  set_param(open, "cache_dir", file.string());
+  set_param(open, "no_cache", true);
+  obs::JsonValue opened = ok(service, open);
+  EXPECT_EQ(opened.at("study").string, "legacy");
+  EXPECT_FALSE(opened.has("cache"));
+  ok(service, req("open_study", "plain"));
+  for (const char* study : {"legacy", "plain"}) {
+    append_inline(service, study, "A", 1);
+    append_inline(service, study, "B", 2);
+  }
+  EXPECT_EQ(ok(service, req("regions", "legacy")).at("text").string,
+            ok(service, req("regions", "plain")).at("text").string);
+  EXPECT_TRUE(fs::is_regular_file(file));
+  fs::remove_all(file);
 }
 
 TEST(ServiceTest, SweepEvictsIdleStudiesByTtl) {

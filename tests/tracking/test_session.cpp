@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -14,8 +12,6 @@
 
 namespace perftrack::tracking {
 namespace {
-
-namespace fs = std::filesystem;
 
 using perftrack::testing::MiniPhase;
 using perftrack::testing::MiniTraceSpec;
@@ -97,28 +93,6 @@ TEST(SessionConfigTest, ReportsAllProblemsAtOnce) {
   }
 }
 
-TEST(SessionConfigTest, CacheDirThatIsARegularFileIsAProblem) {
-  fs::path file = fs::path(::testing::TempDir()) / "pt_session_not_a_dir";
-  fs::remove_all(file);
-  { std::ofstream(file) << "occupied"; }
-
-  SessionConfig config = test_config();
-  config.cache.directory = file.string();
-  std::vector<std::string> problems = config.validate();
-  ASSERT_EQ(problems.size(), 1u);
-  // The message must name the path and say what is wrong with it.
-  EXPECT_NE(problems[0].find(file.string()), std::string::npos) << problems[0];
-  EXPECT_NE(problems[0].find("not a directory"), std::string::npos)
-      << problems[0];
-  EXPECT_THROW(TrackingSession{config}, Error);
-
-  // A missing directory is fine (created on first write), as is an
-  // existing one.
-  config.cache.directory = (file.string() + "-missing");
-  EXPECT_TRUE(config.validate().empty());
-  fs::remove_all(file);
-}
-
 TEST(SessionConfigTest, SessionConstructorValidates) {
   SessionConfig config = test_config();
   config.clustering.dbscan.eps = 0.0;
@@ -131,18 +105,15 @@ TEST(SessionConfigTest, PipelineConfigIsTheOneSurface) {
   config.clustering.dbscan.eps = 0.123;
   config.tracking.use_spmd = false;
   config.resilience.lenient = true;
-  config.cache.directory = "/tmp/somewhere";
   pipeline.set_config(config);
 
   EXPECT_EQ(pipeline.config().clustering.dbscan.eps, 0.123);
   EXPECT_FALSE(pipeline.config().tracking.use_spmd);
   EXPECT_TRUE(pipeline.config().resilience.lenient);
-  EXPECT_EQ(pipeline.config().cache.directory, "/tmp/somewhere");
   // The read-only views mirror the aggregate.
   EXPECT_EQ(pipeline.clustering().dbscan.eps, 0.123);
   EXPECT_FALSE(pipeline.tracking().use_spmd);
   EXPECT_TRUE(pipeline.resilience().lenient);
-  EXPECT_EQ(pipeline.cache().directory, "/tmp/somewhere");
 }
 
 TEST(SessionTest, NeedsTwoSlots) {
@@ -247,44 +218,6 @@ TEST(SessionTest, ScaleShiftInvalidatesPairsButNotFrames) {
   batch.add_experiment(experiment("B", 2));
   batch.add_experiment(c);
   expect_same_tracking(incremental, batch.run());
-}
-
-TEST(SessionTest, DiskCacheMakesWarmSessionClusterNothing) {
-  fs::path dir =
-      fs::path(::testing::TempDir()) / "pt_session_cache";
-  fs::remove_all(dir);
-  SessionConfig config = test_config();
-  config.cache.directory = dir.string();
-
-  auto a = experiment("A", 1);
-  auto b = experiment("B", 2);
-  auto c = experiment("C", 3);
-
-  // Cold reference without any cache.
-  TrackingPipeline reference;
-  reference.set_config(test_config());
-  for (const auto& t : {a, b, c}) reference.add_experiment(t);
-  TrackingResult cold = reference.run();
-
-  // Cold cached run populates the store.
-  TrackingSession first(config);
-  for (const auto& t : {a, b, c}) first.append_experiment(t);
-  TrackingResult cached_cold = first.retrack();
-  EXPECT_EQ(first.stats().frames_clustered, 3u);
-  EXPECT_EQ(first.stats().cache.stores, 3u);
-
-  // A brand-new session (fresh process in real life) loads every frame.
-  TrackingSession second(config);
-  for (const auto& t : {a, b, c}) second.append_experiment(t);
-  TrackingResult warm = second.retrack();
-  EXPECT_EQ(second.stats().frames_clustered, 0u) << "all from cache";
-  EXPECT_EQ(second.stats().frames_from_cache, 3u);
-  EXPECT_EQ(second.stats().cache.hits, 3u);
-
-  // Cold, cached-cold and warm are all bit-identical.
-  expect_same_tracking(cold, cached_cold);
-  expect_same_tracking(cold, warm);
-  fs::remove_all(dir);
 }
 
 TEST(SessionTest, GapsAreTrackedAcrossAndReported) {

@@ -10,9 +10,8 @@
 //   perftrack connect ENDPOINT [--call METHOD [--study S] [--params JSON]]
 //
 // `stat` talks to a running perftrackd over its unix socket and prints a
-// live operational summary (qps, per-method p50/p99, cache hit ratio,
-// queue depth) from the daemon's `stats` method; --watch refreshes it
-// periodically.
+// live operational summary (qps, per-method p50/p99, queue depth) from
+// the daemon's `stats` method; --watch refreshes it periodically.
 //
 // `connect` is the general-purpose protocol client: ENDPOINT is a unix
 // socket path or "tcp://HOST:PORT" (a daemon started with --listen).
@@ -45,7 +44,6 @@
 #include "obs/telemetry.hpp"
 #include "serve/client.hpp"
 #include "sim/studies.hpp"
-#include "store/frame_store.hpp"
 #include "trace/slice.hpp"
 #include "trace/trace_io.hpp"
 #include "tracking/gnuplot.hpp"
@@ -80,7 +78,6 @@ struct Options {
   bool matrices = false;
   bool scatter = false;
   bool lenient = false;
-  bool no_cache = false;
   std::size_t max_errors = 100;
   bool watch = false;
   std::size_t watch_interval_sec = 2;
@@ -90,7 +87,6 @@ struct Options {
   std::string call_params;
   std::size_t retries = 1;
   std::size_t deadline_ms = 0;
-  store::StoreConfig cache;
   tracking::TrackingParams tracking;
 };
 
@@ -184,12 +180,6 @@ cli::OptionTable option_table(Options& options) {
                     "' (expected auto, full or banded)");
               o->tracking.alignment_engine = *engine;
             });
-  table.add("--cache-dir", "DIR",
-            "cache clustered frames in DIR (default: $PERFTRACK_CACHE)",
-            [o](const std::string& v) { o->cache.directory = v; });
-  table.add_switch("--no-cache",
-                   "disable the frame cache even if PERFTRACK_CACHE is set",
-                   [o] { o->no_cache = true; });
   table.add("--profile", "FILE",
             "record pipeline telemetry, write a JSON run report",
             [o](const std::string& v) { o->profile_path = v; });
@@ -295,7 +285,6 @@ tracking::SessionConfig session_config(const Options& options) {
   config.clustering.min_cluster_time_fraction = options.min_cluster_frac;
   config.tracking = options.tracking;
   config.resilience.lenient = options.lenient;
-  if (!options.no_cache) config.cache = options.cache;
   return config;
 }
 
@@ -466,15 +455,6 @@ void print_stat(const obs::JsonValue& stats, double qps) {
                 json_number(queue, "admitted"),
                 json_number(queue, "rejected"));
   }
-  if (stats.has("cache")) {
-    const obs::JsonValue& cache = stats.at("cache");
-    const double hits = json_number(cache, "hits");
-    const double misses = json_number(cache, "misses");
-    const double lookups = hits + misses;
-    std::printf("cache: %.1f%% hit (%.0f hits, %.0f misses, %.0f stores)\n",
-                lookups > 0 ? 100.0 * hits / lookups : 0.0, hits, misses,
-                json_number(cache, "stores"));
-  }
   if (stats.has("latency") && !stats.at("latency").object.empty()) {
     std::printf("%-20s %10s %10s %10s %10s\n", "method", "count", "p50",
                 "p99", "max");
@@ -613,7 +593,6 @@ void emit_telemetry(const Options& options, int argc, char** argv) {
 
 int main(int argc, char** argv) {
   Options options;
-  options.cache.directory = store::FrameStore::environment_directory();
   cli::OptionTable table = option_table(options);
   try {
     if (argc < 2) return usage(table);
@@ -633,7 +612,7 @@ int main(int argc, char** argv) {
     else return usage(table);
 
     // A degraded success still produced a full result: emit its telemetry
-    // so the run report records the gaps, diagnostics and cache counters.
+    // so the run report records the gaps and diagnostics.
     if (profiling && (rc == kExitOk || rc == kExitDegraded))
       emit_telemetry(options, argc, argv);
     return rc;

@@ -40,18 +40,10 @@
 //
 // Exit codes: 0 clean shutdown, 1 internal error, 2 usage.
 
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -60,13 +52,10 @@
 #include "common/error.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/client.hpp"
 #include "serve/metrics_http.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "serve/shard.hpp"
 #include "sim/studies.hpp"
-#include "store/frame_store.hpp"
 
 using namespace perftrack;
 
@@ -80,15 +69,11 @@ struct Options {
   bool stdio = false;
   std::string socket_path;
   std::string listen;  ///< TCP HOST:PORT ("" = no TCP listener)
-  bool front = false;
-  std::size_t shards = 2;
-  std::string shard_dir;
   double eps = 0.025;
   std::size_t min_pts = 5;
   double min_cluster_frac = 0.005;
   align::AlignmentEngine align_engine = align::AlignmentEngine::kAuto;
   bool lenient = false;
-  bool no_cache = false;
   std::size_t max_errors = 100;
   std::size_t idle_ttl_sec = 0;
   std::size_t max_sessions = 0;
@@ -96,7 +81,6 @@ struct Options {
   std::string state_dir;
   serve::FsyncMode fsync = serve::FsyncMode::Batch;
   std::size_t journal_compact = 4096;
-  std::string cache_dir;
   std::string profile_path;
   std::string trace_events_path;
   std::string metrics_socket;
@@ -113,7 +97,6 @@ cli::OptionTable option_table(Options& options) {
       "--socket PATH [options]",
       "--listen HOST:PORT [options]",
       "--stdio [options]",
-      "--front --shards N (--socket PATH | --listen HOST:PORT) [options]",
   };
   table.footer =
       "exit codes: 0 clean shutdown, 1 error, 2 usage\n"
@@ -127,18 +110,6 @@ cli::OptionTable option_table(Options& options) {
   table.add_switch("--stdio",
                    "serve one connection on stdin/stdout (tests, scripts)",
                    [o] { o->stdio = true; });
-  table.add_switch("--front",
-                   "shard-by-study front: spawn worker daemons and route "
-                   "requests by study name (see --shards)",
-                   [o] { o->front = true; });
-  table.add("--shards", "N", "worker daemons behind --front (2)",
-            [o](const std::string& v) {
-              o->shards = cli::parse_count("--shards", v, 1);
-            });
-  table.add("--shard-dir", "DIR",
-            "directory for the workers' AF_UNIX sockets (default: under "
-            "--state-dir, or /tmp/perftrackd-<pid>-shards)",
-            [o](const std::string& v) { o->shard_dir = v; });
   table.add("--queue", "N",
             "max open connections; one more is refused as overloaded (64)",
             [o](const std::string& v) {
@@ -227,12 +198,8 @@ cli::OptionTable option_table(Options& options) {
               o->server.max_line_bytes =
                   cli::parse_count("--max-line-bytes", v);
             });
-  table.add("--cache-dir", "DIR",
-            "frame cache for every study (default: $PERFTRACK_CACHE)",
-            [o](const std::string& v) { o->cache_dir = v; });
-  table.add_switch("--no-cache",
-                   "disable the frame cache even if PERFTRACK_CACHE is set",
-                   [o] { o->no_cache = true; });
+  table.add_switch("--no-cache", "accepted for old scripts; has no effect",
+                   [] {});
   table.add("--profile", "FILE",
             "write a JSON run report (per-endpoint spans) at shutdown",
             [o](const std::string& v) { o->profile_path = v; });
@@ -281,10 +248,6 @@ serve::ServiceConfig service_config(const Options& options) {
       options.min_cluster_frac;
   config.session.tracking.alignment_engine = options.align_engine;
   config.session.resilience.lenient = options.lenient;
-  if (!options.no_cache)
-    config.session.cache.directory =
-        options.cache_dir.empty() ? store::FrameStore::environment_directory()
-                                  : options.cache_dir;
   config.max_errors = options.max_errors;
   config.idle_ttl_ns =
       static_cast<std::uint64_t>(options.idle_ttl_sec) * 1000000000ull;
@@ -308,149 +271,6 @@ void parse_listen(const std::string& value, std::string& host,
   if (parsed > 65535)
     throw cli::UsageError("--listen port out of range in '" + value + "'");
   port = static_cast<std::uint16_t>(parsed);
-}
-
-/// One worker connection of the shard front: NdjsonClient is
-/// one-request-at-a-time, so the mutex serializes the front's threads
-/// over it. Reconnects (daemon restart) are the client's retry policy.
-struct ShardConn {
-  std::mutex mutex;
-  std::unique_ptr<serve::NdjsonClient> client;
-};
-
-/// Spawn one worker daemon re-execing this binary with the per-shard
-/// socket/state paths plus every study-affecting option passed through.
-/// Returns the child pid.
-pid_t spawn_worker(const Options& options, const std::string& socket_path,
-                   const std::string& state_dir) {
-  std::vector<std::string> args = {
-      "/proc/self/exe", "--socket", socket_path,
-      "--eps", std::to_string(options.eps),
-      "--min-pts", std::to_string(options.min_pts),
-      "--min-cluster-frac", std::to_string(options.min_cluster_frac),
-      "--max-errors", std::to_string(options.max_errors),
-      "--idle-ttl", std::to_string(options.idle_ttl_sec),
-      "--max-sessions", std::to_string(options.max_sessions),
-      "--sweep-interval", std::to_string(options.sweep_interval_ms),
-      "--queue", std::to_string(options.server.queue_capacity),
-      "--max-line-bytes", std::to_string(options.server.max_line_bytes),
-      "--journal-compact", std::to_string(options.journal_compact),
-      "--fsync", std::string(serve::fsync_mode_name(options.fsync)),
-  };
-  if (options.lenient) args.push_back("--lenient");
-  if (options.no_cache) args.push_back("--no-cache");
-  if (!options.cache_dir.empty()) {
-    args.push_back("--cache-dir");
-    args.push_back(options.cache_dir);
-  }
-  if (!state_dir.empty()) {
-    args.push_back("--state-dir");
-    args.push_back(state_dir);
-  }
-  if (options.align_engine != align::AlignmentEngine::kAuto) {
-    args.push_back("--align-engine");
-    args.push_back(align::to_string(options.align_engine));
-  }
-  if (options.no_metrics) args.push_back("--no-metrics");
-
-  const pid_t pid = ::fork();
-  if (pid < 0) throw Error(std::string("fork(): ") + std::strerror(errno));
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::fprintf(stderr, "perftrackd: execv(%s): %s\n", argv[0],
-                 std::strerror(errno));
-    ::_exit(kExitInternal);
-  }
-  return pid;
-}
-
-/// --front: spawn the worker fleet, build a ShardFront over NdjsonClient
-/// backends, serve it on the requested transport, then shut the workers
-/// down and reap them.
-int run_front(const Options& options,
-              const std::function<int(serve::Dispatcher&)>& serve_with) {
-  std::string shard_dir = options.shard_dir;
-  if (shard_dir.empty())
-    shard_dir = options.state_dir.empty()
-                    ? "/tmp/perftrackd-" + std::to_string(::getpid()) +
-                          "-shards"
-                    : options.state_dir + "/shards";
-  // mkdir -p: the default lives under --state-dir, which may not exist
-  // yet on a first run.
-  for (std::size_t slash = shard_dir.find('/', 1);;
-       slash = shard_dir.find('/', slash + 1)) {
-    const std::string prefix =
-        slash == std::string::npos ? shard_dir : shard_dir.substr(0, slash);
-    if (!prefix.empty() && ::mkdir(prefix.c_str(), 0700) != 0 &&
-        errno != EEXIST)
-      throw Error("cannot create shard dir " + prefix + ": " +
-                  std::strerror(errno));
-    if (slash == std::string::npos) break;
-  }
-
-  std::vector<pid_t> pids;
-  std::vector<std::string> sockets;
-  for (std::size_t i = 0; i < options.shards; ++i) {
-    const std::string socket_path =
-        shard_dir + "/shard-" + std::to_string(i) + ".sock";
-    const std::string state_dir =
-        options.state_dir.empty()
-            ? ""
-            : options.state_dir + "/shard-" + std::to_string(i);
-    sockets.push_back(socket_path);
-    pids.push_back(spawn_worker(options, socket_path, state_dir));
-  }
-
-  int rc = kExitInternal;
-  {
-    // Generous connect retries: the workers are booting (and possibly
-    // replaying journals) while we connect. Modest roundtrip retries: a
-    // worker that died mid-serve should fail requests, not hang them.
-    serve::RetryPolicy retry;
-    retry.attempts = 50;
-    retry.deadline_ms = 2000;
-    retry.backoff_ms = 20;
-    retry.backoff_max_ms = 200;
-
-    std::vector<std::shared_ptr<ShardConn>> conns;
-    std::vector<serve::ShardFront::Backend> backends;
-    for (const std::string& socket_path : sockets) {
-      auto conn = std::make_shared<ShardConn>();
-      conn->client =
-          std::make_unique<serve::NdjsonClient>(socket_path, retry);
-      conns.push_back(conn);
-      backends.push_back([conn](const std::string& line) {
-        std::lock_guard<std::mutex> lock(conn->mutex);
-        return conn->client->roundtrip(line);
-      });
-    }
-
-    serve::ShardFront front(std::move(backends), !options.no_metrics);
-    std::fprintf(stderr, "front: %zu shards under %s\n", options.shards,
-                 shard_dir.c_str());
-    rc = serve_with(front);
-
-    // The protocol `shutdown` already drained the workers through the
-    // front; the signal path did not. Either way, tell every worker to
-    // drain now — a second shutdown is idempotent — and reap them.
-    for (auto& conn : conns) {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      try {
-        conn->client->roundtrip("{\"method\":\"shutdown\"}");
-      } catch (const Error&) {
-        // Already gone — that is what we wanted.
-      }
-    }
-  }
-  for (pid_t pid : pids) {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
-  return rc;
 }
 
 void emit_telemetry(const Options& options) {
@@ -493,11 +313,6 @@ int main(int argc, char** argv) {
     std::uint16_t listen_port = 0;
     if (!options.listen.empty())
       parse_listen(options.listen, listen_host, listen_port);
-    if (options.front &&
-        (!options.metrics_socket.empty() || options.metrics_port >= 0))
-      throw cli::UsageError(
-          "--front has no HTTP metrics listener; scrape the workers' "
-          "(each worker exposes the full metrics plane)");
 
     if (!options.profile_path.empty() || !options.trace_events_path.empty())
       obs::set_enabled(true);
@@ -516,28 +331,6 @@ int main(int argc, char** argv) {
       options.server.access_log = access_log.get();
     }
 
-    auto serve_with = [&](serve::Dispatcher& dispatcher) {
-      if (options.stdio)
-        return serve::serve_stream(dispatcher, std::cin, std::cout,
-                                   options.server);
-      if (!options.listen.empty())
-        return serve::serve_tcp(dispatcher, listen_host, listen_port,
-                                options.server, [](std::uint16_t port) {
-                                  // Print the resolved port so scripts
-                                  // using --listen HOST:0 can connect.
-                                  std::fprintf(stderr, "listen port %u\n",
-                                               port);
-                                });
-      return serve::serve_unix_socket(dispatcher, options.socket_path,
-                                      options.server);
-    };
-
-    if (options.front) {
-      const int rc = run_front(options, serve_with);
-      emit_telemetry(options);
-      return rc == 0 ? kExitOk : kExitInternal;
-    }
-
     serve::TrackingService service(service_config(options));
 
     serve::MetricsHttpServer metrics_http(service);
@@ -553,7 +346,19 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "metrics port %u\n", metrics_http.port());
     }
 
-    int rc = serve_with(service);
+    int rc;
+    if (options.stdio)
+      rc = serve::serve_stream(service, std::cin, std::cout, options.server);
+    else if (!options.listen.empty())
+      rc = serve::serve_tcp(service, listen_host, listen_port, options.server,
+                            [](std::uint16_t port) {
+                              // Print the resolved port so scripts using
+                              // --listen HOST:0 can connect.
+                              std::fprintf(stderr, "listen port %u\n", port);
+                            });
+    else
+      rc = serve::serve_unix_socket(service, options.socket_path,
+                                    options.server);
     metrics_http.stop();
     // Part of the graceful drain: batch-mode journals may hold unsynced
     // records; flush them before reporting a clean exit.
