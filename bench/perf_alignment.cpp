@@ -31,7 +31,6 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/studies.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
 #include "tracking/session.hpp"
 #include "tracking/tracker.hpp"
@@ -263,13 +262,12 @@ int main() {
     memo_ok = memo_hits >= 1 &&
               session.stats().alignments_computed == computed_before;
 
-    tracking::TrackingPipeline pipeline;
     tracking::SessionConfig cold_config;
     cold_config.clustering = evolution.clustering;
-    pipeline.set_config(cold_config);
-    for (const auto& t : evolution.traces) pipeline.add_experiment(t);
-    pipeline.add_experiment(evolution.traces[evolution.traces.size() / 2]);
-    ResultDigest cold(pipeline.run());
+    tracking::TrackingSession batch(cold_config);
+    for (const auto& t : evolution.traces) batch.append_experiment(t);
+    batch.append_experiment(evolution.traces[evolution.traces.size() / 2]);
+    ResultDigest cold(batch.retrack());
     memo_ok = memo_ok && cold == warm;
   }
   std::printf("memoized profiles  : %llu\n",

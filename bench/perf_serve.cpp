@@ -9,9 +9,9 @@
 //
 // Leg A (the correctness verdict): drive the hydroc study through
 // TrackingService — open, append every trace inline, read regions and
-// trends — and compare byte-for-byte against a TrackingPipeline batch run
-// with the same configuration. Append wall time is reported next to the
-// batch run for context.
+// trends — and compare byte-for-byte against a batch run (one retrack of a
+// fresh TrackingSession) with the same configuration. Append wall time is
+// reported next to the batch run for context.
 //
 // Leg B: read throughput on a warm study, one reader vs a pool of 4.
 // Hot reads are render-cache hits (one hash lookup, no study lock), so
@@ -55,8 +55,8 @@
 #include "serve/service.hpp"
 #include "sim/studies.hpp"
 #include "trace/trace_io.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -118,10 +118,9 @@ int main() {
   session_config.clustering = study.clustering;
 
   Clock::time_point start = Clock::now();
-  tracking::TrackingPipeline pipeline;
-  pipeline.set_config(session_config);
-  for (const auto& t : study.traces) pipeline.add_experiment(t);
-  tracking::TrackingResult batch = pipeline.run();
+  tracking::TrackingSession batch_session(session_config);
+  for (const auto& t : study.traces) batch_session.append_experiment(t);
+  tracking::TrackingResult batch = batch_session.retrack();
   double batch_ms = ms_since(start);
   const std::string batch_regions = tracking::describe_tracking(batch);
   const std::string batch_trends = tracking::trends_csv(batch);

@@ -30,7 +30,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "sim/studies.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
 #include "tracking/session.hpp"
 
@@ -112,11 +111,10 @@ int main() {
     cold_config.clustering = study.clustering;
     cold_config.tracking.threads = 1;
     Clock::time_point start = Clock::now();
-    tracking::TrackingPipeline pipeline;
-    pipeline.set_config(cold_config);
-    for (const auto& t : traces) pipeline.add_experiment(t);
-    pipeline.add_experiment(appended);
-    tracking::TrackingResult cold_result = pipeline.run();
+    tracking::TrackingSession batch(cold_config);
+    for (const auto& t : traces) batch.append_experiment(t);
+    batch.append_experiment(appended);
+    tracking::TrackingResult cold_result = batch.retrack();
     double cold_ms = ms_since(start);
     ResultDigest cold(cold_result);
 
@@ -173,11 +171,9 @@ int main() {
     ResultDigest cold_final;
     Clock::time_point start = Clock::now();
     for (std::size_t k = 2; k <= n; ++k) {
-      tracking::TrackingPipeline pipeline;
-      pipeline.set_config(config);
-      for (std::size_t i = 0; i < k; ++i)
-        pipeline.add_experiment(traces[i]);
-      tracking::TrackingResult result = pipeline.run();
+      tracking::TrackingSession batch(config);
+      for (std::size_t i = 0; i < k; ++i) batch.append_experiment(traces[i]);
+      tracking::TrackingResult result = batch.retrack();
       if (k == n) cold_final = ResultDigest(result);
     }
     double cold_ms = ms_since(start);

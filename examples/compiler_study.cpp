@@ -12,8 +12,8 @@
 
 #include "common/strings.hpp"
 #include "sim/app.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -49,7 +49,7 @@ sim::AppModel make_solver() {
 int main() {
   sim::AppModel solver = make_solver();
 
-  tracking::TrackingPipeline pipeline;
+  tracking::TrackingSession session;
   struct Config {
     sim::Platform platform;
     sim::CompilerModel compiler;
@@ -64,10 +64,10 @@ int main() {
     scenario.num_tasks = 64;
     scenario.platform = config.platform;
     scenario.compiler = config.compiler;
-    pipeline.add_experiment(solver.simulate_shared(scenario));
+    session.append_experiment(solver.simulate_shared(scenario));
   }
 
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingResult result = session.retrack();
   std::cout << tracking::describe_tracking(result) << "\n";
 
   std::printf("%-28s %12s %10s %12s\n", "experiment", "instructions", "IPC",

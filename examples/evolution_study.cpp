@@ -14,8 +14,8 @@
 #include "sim/apps/apps.hpp"
 #include "trace/slice.hpp"
 #include "tracking/html_report.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -49,9 +49,9 @@ int main() {
 
   // Slice into intervals and track the sequence.
   auto slices = trace::split_into_intervals(run, 10);
-  tracking::TrackingPipeline pipeline;
-  for (auto& slice : slices) pipeline.add_experiment(slice);
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingSession session;
+  for (auto& slice : slices) session.append_experiment(slice);
+  tracking::TrackingResult result = session.retrack();
 
   std::cout << tracking::describe_tracking(result) << "\n";
   for (const auto& region : result.regions) {

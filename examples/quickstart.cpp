@@ -3,7 +3,7 @@
 //
 // Demonstrates the core API in ~40 effective lines:
 //   1. obtain traces (here: simulated; in production, load .ptt files),
-//   2. feed them to a TrackingPipeline,
+//   2. feed them to a TrackingSession,
 //   3. read back tracked regions, relations and per-region trends.
 //
 // Build and run:  ./examples/quickstart
@@ -12,8 +12,8 @@
 #include <iostream>
 
 #include "sim/apps/apps.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -30,16 +30,14 @@ int main() {
   at_256.num_tasks = 256;
 
   // 2. Cluster each experiment into behavioural regions and track them.
-  tracking::TrackingPipeline pipeline;
-  pipeline.add_experiment(wrf.simulate_shared(at_128));
-  pipeline.add_experiment(wrf.simulate_shared(at_256));
-
-  tracking::SessionConfig config = pipeline.config();
+  tracking::SessionConfig config;
   config.clustering.dbscan.eps = 0.025;
   config.clustering.min_cluster_time_fraction = 0.005;
-  pipeline.set_config(config);
 
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingSession session(config);
+  session.append_experiment(wrf.simulate_shared(at_128));
+  session.append_experiment(wrf.simulate_shared(at_256));
+  tracking::TrackingResult result = session.retrack();
 
   // 3. What corresponds to what, and how did it change?
   std::cout << tracking::describe_tracking(result) << "\n";

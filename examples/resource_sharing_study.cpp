@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "sim/apps/apps.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -20,7 +20,9 @@ using namespace perftrack;
 int main() {
   sim::AppModel app = sim::make_mrgenesis();
 
-  tracking::TrackingPipeline pipeline;
+  tracking::SessionConfig config;
+  config.clustering.dbscan.eps = 0.08;
+  tracking::TrackingSession session(config);
   for (std::uint32_t per_node = 1; per_node <= 12; ++per_node) {
     sim::Scenario scenario;
     scenario.label = std::to_string(per_node) + "/node";
@@ -28,13 +30,9 @@ int main() {
     scenario.tasks_per_node = per_node;
     scenario.platform = sim::minotauro();
     scenario.seed = 40 + per_node;
-    pipeline.add_experiment(app.simulate_shared(scenario));
+    session.append_experiment(app.simulate_shared(scenario));
   }
-  tracking::SessionConfig config = pipeline.config();
-  config.clustering.dbscan.eps = 0.08;
-  pipeline.set_config(config);
-
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingResult result = session.retrack();
 
   std::vector<std::string> labels;
   for (const auto& frame : result.frames) labels.push_back(frame.label());

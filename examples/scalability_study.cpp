@@ -12,8 +12,8 @@
 
 #include "common/strings.hpp"
 #include "sim/app.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 using namespace perftrack;
@@ -62,17 +62,17 @@ sim::AppModel make_stencil() {
 
 int main() {
   sim::AppModel app = make_stencil();
-  tracking::TrackingPipeline pipeline;
+  tracking::TrackingSession session;
   for (std::uint32_t tasks : {16u, 32u, 64u, 128u, 256u}) {
     sim::Scenario scenario;
     scenario.label = std::to_string(tasks) + " tasks";
     scenario.num_tasks = tasks;
     scenario.platform = sim::minotauro();
     scenario.seed = 100 + tasks;
-    pipeline.add_experiment(app.simulate_shared(scenario));
+    session.append_experiment(app.simulate_shared(scenario));
   }
 
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingResult result = session.retrack();
   std::cout << tracking::describe_tracking(result) << "\n";
 
   std::vector<std::string> labels;

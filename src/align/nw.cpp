@@ -27,22 +27,6 @@ double PairAlignment::identity() const {
   return static_cast<double>(matches()) / static_cast<double>(longest);
 }
 
-const char* to_string(AlignmentEngine engine) {
-  switch (engine) {
-    case AlignmentEngine::kAuto: return "auto";
-    case AlignmentEngine::kFull: return "full";
-    case AlignmentEngine::kBanded: return "banded";
-  }
-  return "auto";
-}
-
-std::optional<AlignmentEngine> parse_alignment_engine(std::string_view name) {
-  if (name == "auto") return AlignmentEngine::kAuto;
-  if (name == "full") return AlignmentEngine::kFull;
-  if (name == "banded") return AlignmentEngine::kBanded;
-  return std::nullopt;
-}
-
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();

@@ -32,9 +32,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace perftrack::align {
@@ -58,12 +56,6 @@ enum class AlignmentEngine {
   kFull,    ///< reference full-matrix DP
   kBanded,  ///< force the certified banded DP (falls back when ineligible)
 };
-
-/// "auto" / "full" / "banded".
-const char* to_string(AlignmentEngine engine);
-
-/// Inverse of to_string; nullopt for unknown names.
-std::optional<AlignmentEngine> parse_alignment_engine(std::string_view name);
 
 /// Result of a pairwise global alignment: both sequences padded with kGap to
 /// a common length.

@@ -1,6 +1,8 @@
 #include "common/thread_pool.hpp"
 
 #include <exception>
+#include <map>
+#include <memory>
 
 namespace perftrack {
 
@@ -83,6 +85,21 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   for (std::future<void>& f : pending) f.wait();
   if (submit_error) std::rethrow_exception(submit_error);
   for (std::future<void>& f : pending) f.get();
+}
+
+ThreadPool& ThreadPool::shared(std::size_t threads) {
+  if (threads < 1) threads = 1;
+  // Heap-allocated and never freed, so no static destructor joins workers
+  // while another thread may still be submitting.
+  struct Pools {
+    std::mutex mutex;
+    std::map<std::size_t, std::unique_ptr<ThreadPool>> by_count;
+  };
+  static Pools* const pools = new Pools;
+  std::lock_guard<std::mutex> lock(pools->mutex);
+  std::unique_ptr<ThreadPool>& pool = pools->by_count[threads];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+  return *pool;
 }
 
 std::size_t ThreadPool::default_thread_count() {

@@ -8,9 +8,14 @@
 // pre-sized slots, so the result of a run never depends on scheduling
 // order, only on the task bodies themselves.
 //
-//   ThreadPool pool(ThreadPool::resolve(params.threads));
+//   ThreadPool& pool = ThreadPool::shared(ThreadPool::resolve(params.threads));
 //   pool.parallel_for(0, frames.size(),
 //                     [&](std::size_t i) { out[i] = work(i); });
+//
+// Library code never builds a pool per call: shared() hands out one
+// long-lived pool per thread count per process, so a retrack starts no
+// threads, and concurrent callers (perftrackd connection threads tracking
+// different studies) share its workers.
 //
 // A pool of one thread spawns no workers at all: every task runs inline on
 // the calling thread, in submission order — bit-for-bit the serial
@@ -84,6 +89,17 @@ public:
   static std::size_t resolve(std::size_t requested) {
     return requested == 0 ? default_thread_count() : requested;
   }
+
+  /// Largest thread count a user may request (perftrack --threads,
+  /// TrackingParams::threads); SessionConfig::validate() enforces it.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// The process-wide pool of `threads` workers (an already resolved
+  /// count; <= 1 gives the inline pool). Built on first use, then reused
+  /// by every caller for the life of the process. Never destroyed: its
+  /// idle workers end with the process, so exit never waits on a thread
+  /// that a still-running caller might be feeding.
+  static ThreadPool& shared(std::size_t threads);
 
 private:
   bool run_inline() const;

@@ -1,6 +1,8 @@
 #include "tracking/session.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -31,6 +33,122 @@ std::uint64_t sequences_fingerprint(
         h);
   }
   return h;
+}
+
+/// Union-find over (frame, object) nodes across the whole sequence.
+class SequenceComponents {
+public:
+  explicit SequenceComponents(const std::vector<cluster::Frame>& frames) {
+    offsets_.reserve(frames.size());
+    std::size_t total = 0;
+    for (const auto& f : frames) {
+      offsets_.push_back(total);
+      total += f.object_count();
+    }
+    parent_.resize(total);
+    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+  }
+
+  std::size_t node(std::size_t frame, ObjectId object) const {
+    return offsets_[frame] + static_cast<std::size_t>(object);
+  }
+
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+
+  void unite(std::size_t x, std::size_t y) { parent_[find(x)] = find(y); }
+
+private:
+  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> parent_;
+};
+
+/// Chain pair relations into whole-sequence regions: the last stage of a
+/// retrack. `pairs[p]` tracks `frames[p] -> frames[p+1]` under `scale`.
+TrackingResult chain_tracking(std::vector<cluster::Frame> frames,
+                              ScaleNormalization scale,
+                              std::vector<PairTracking> pairs) {
+  PT_REQUIRE(frames.size() >= 2, "tracking needs at least two frames");
+  PT_REQUIRE(pairs.size() + 1 == frames.size(),
+             "need exactly one pair tracking per adjacent frame pair");
+
+  TrackingResult result;
+  result.frames = std::move(frames);
+  result.scale = std::move(scale);
+  result.pairs = std::move(pairs);
+  const std::size_t frame_count = result.frames.size();
+
+  // Chain relations into whole-sequence regions.
+  PT_SPAN("chain_regions");
+  SequenceComponents components(result.frames);
+  for (std::size_t p = 0; p + 1 < frame_count; ++p) {
+    for (const Relation& rel : result.pairs[p].relations) {
+      std::size_t anchor = components.node(p, *rel.left.begin());
+      for (ObjectId a : rel.left)
+        components.unite(anchor, components.node(p, a));
+      for (ObjectId b : rel.right)
+        components.unite(anchor, components.node(p + 1, b));
+    }
+  }
+
+  std::map<std::size_t, TrackedRegion> by_root;
+  for (std::size_t f = 0; f < frame_count; ++f) {
+    for (std::size_t o = 0; o < result.frames[f].object_count(); ++o) {
+      auto id = static_cast<ObjectId>(o);
+      std::size_t root = components.find(components.node(f, id));
+      TrackedRegion& region = by_root[root];
+      if (region.members.empty()) region.members.resize(frame_count);
+      region.members[f].insert(id);
+      region.total_duration += result.frames[f].object(id).total_duration;
+    }
+  }
+
+  result.regions.reserve(by_root.size());
+  for (auto& [root, region] : by_root) {
+    region.complete = region.frames_present() == frame_count;
+    result.regions.push_back(std::move(region));
+  }
+  std::sort(result.regions.begin(), result.regions.end(),
+            [](const TrackedRegion& x, const TrackedRegion& y) {
+              if (x.complete != y.complete) return x.complete;
+              return x.total_duration > y.total_duration;
+            });
+  for (std::size_t r = 0; r < result.regions.size(); ++r)
+    result.regions[r].id = static_cast<int>(r);
+
+  result.complete_count = 0;
+  for (const TrackedRegion& region : result.regions)
+    if (region.complete) ++result.complete_count;
+
+  std::size_t min_objects = result.frames[0].object_count();
+  for (const auto& f : result.frames)
+    min_objects = std::min(min_objects, f.object_count());
+  result.coverage = min_objects == 0
+                        ? 0.0
+                        : static_cast<double>(result.complete_count) /
+                              static_cast<double>(min_objects);
+
+  // Frame-object -> region renaming (for recoloured output, Fig. 6).
+  result.renaming.resize(frame_count);
+  for (std::size_t f = 0; f < frame_count; ++f)
+    result.renaming[f].assign(result.frames[f].object_count(), -1);
+  for (const TrackedRegion& region : result.regions)
+    for (std::size_t f = 0; f < frame_count; ++f)
+      for (ObjectId o : region.members[f])
+        result.renaming[f][static_cast<std::size_t>(o)] = region.id;
+
+  if (obs::enabled()) {
+    PT_COUNTER("regions_total", static_cast<double>(result.regions.size()));
+    PT_COUNTER("regions_complete",
+               static_cast<double>(result.complete_count));
+    PT_GAUGE("coverage", result.coverage);
+  }
+  return result;
 }
 
 }  // namespace
@@ -73,6 +191,10 @@ std::vector<std::string> SessionConfig::validate() const {
     problems.push_back("tracking.sequence_threshold must be in [0, 1]");
   if (!tracking.log_scale.empty() && tracking.log_scale.size() != dims)
     problems.push_back("tracking.log_scale must be empty or match the axis count");
+  if (tracking.threads > ThreadPool::kMaxThreads)
+    problems.push_back("tracking.threads must be at most " +
+                       std::to_string(ThreadPool::kMaxThreads) +
+                       " (0 = hardware concurrency)");
   if (!in_unit(resilience.max_gap_fraction))
     problems.push_back("resilience.max_gap_fraction must be in [0, 1]");
   return problems;
@@ -103,6 +225,16 @@ std::size_t TrackingSession::append_experiment(
   return slots_.size() - 1;
 }
 
+std::size_t TrackingSession::append_frame(cluster::Frame frame) {
+  Slot slot;
+  slot.label = frame.label();
+  slot.trace = frame.source_ptr();
+  slot.attempted = true;
+  slot.frame = std::move(frame);
+  slots_.push_back(std::move(slot));
+  return slots_.size() - 1;
+}
+
 std::size_t TrackingSession::append_gap(std::string label,
                                         std::string reason) {
   Slot slot;
@@ -115,7 +247,7 @@ std::size_t TrackingSession::append_gap(std::string label,
 std::size_t TrackingSession::gap_count() const {
   std::size_t n = 0;
   for (const Slot& slot : slots_)
-    if (slot.trace == nullptr) ++n;
+    if (slot.gap()) ++n;
   return n;
 }
 
@@ -129,15 +261,15 @@ void TrackingSession::cluster_new_slots() {
   std::vector<std::size_t> to_build;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
-    if (slot.trace == nullptr) {
+    if (slot.attempted) {
+      if (slot.frame.has_value()) ++stats_.frames_memoized;
+      continue;
+    }
+    if (slot.gap()) {
       if (!config_.resilience.lenient)
         throw Error("experiment '" + slot.label + "' is a gap (" +
                     slot.reason +
                     "); enable lenient resilience to track across it");
-      continue;
-    }
-    if (slot.attempted) {
-      if (slot.frame.has_value()) ++stats_.frames_memoized;
       continue;
     }
     try {
@@ -154,8 +286,6 @@ void TrackingSession::cluster_new_slots() {
   if (!to_build.empty()) {
     // One clustering task per fresh experiment; outcomes land in their
     // slot, so the frame sequence is identical for any thread count.
-    // Everything a task captures is declared before the pool: its
-    // destructor drains every submitted task (see pipeline history).
     struct Outcome {
       std::optional<cluster::Frame> frame;
       std::string error;
@@ -163,7 +293,8 @@ void TrackingSession::cluster_new_slots() {
     };
     std::vector<Outcome> outcomes(to_build.size());
     const std::vector<const char*> here = obs::current_span_path();
-    ThreadPool pool(ThreadPool::resolve(config_.tracking.threads));
+    ThreadPool& pool =
+        ThreadPool::shared(ThreadPool::resolve(config_.tracking.threads));
     pool.parallel_for(0, to_build.size(), [&](std::size_t t) {
       obs::SpanContext ctx(here);
       const Slot& slot = slots_[to_build[t]];
@@ -203,7 +334,7 @@ TrackingResult TrackingSession::retrack() {
   cluster_new_slots();
 
   // Fold the memoised outcomes in slot order: surviving frames, gaps and
-  // error precedence all match a cold batch run.
+  // error precedence all match a fresh session's single retrack.
   std::vector<std::size_t> live;
   std::vector<ExperimentGap> gaps;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -212,7 +343,7 @@ TrackingResult TrackingSession::retrack() {
       live.push_back(i);
       continue;
     }
-    if (slot.trace != nullptr) {
+    if (!slot.gap()) {
       // A memoised clustering failure; strict mode was rethrown above.
       PT_LOG(Warn) << "experiment '" << slot.label
                    << "' failed to cluster, tracking across the gap: "
@@ -243,7 +374,7 @@ TrackingResult TrackingSession::retrack() {
   {
     PT_SPAN("track_frames");
     const TrackingParams& params = config_.tracking;
-    ThreadPool pool(ThreadPool::resolve(params.threads));
+    ThreadPool& pool = ThreadPool::shared(ThreadPool::resolve(params.threads));
     PT_GAUGE("threads", static_cast<double>(pool.thread_count()));
 
     std::vector<cluster::Frame> frames;
@@ -259,8 +390,9 @@ TrackingResult TrackingSession::retrack() {
 
     // The memoised pair relations were computed under pair_scale_; a scale
     // moved by the appended frames invalidates every one of them (the
-    // price of bit-identity with the batch path). Frames and alignments
-    // stay valid — only the cross-experiment normalisation changed.
+    // price of bit-identity with a fresh session's retrack). Frames and
+    // alignments stay valid — only the cross-experiment normalisation
+    // changed.
     if (!pair_scale_.has_value() || !(*pair_scale_ == scale)) {
       if (!pair_memo_.empty()) {
         ++stats_.scale_invalidations;

@@ -15,14 +15,18 @@
 //   session.append_experiment(trace_512);   // one clustering, one new pair
 //   TrackingResult r2 = session.retrack();
 //
-// Equivalence guarantee: retrack() is bit-identical to a cold
-// track_frames/TrackingPipeline::run over the same experiments and
-// configuration — memoised artefacts are only reused when every input that
-// determines them is unchanged. In particular the min-max scale fitted
-// over ALL experiments guards the pair memo: an appended frame that
-// extends a range invalidates every memoised pair (they are re-tracked
-// from the memoised frames, which is still cheap next to re-clustering).
-// docs/SESSIONS.md covers the full model.
+// The session is the library's only tracking loop: a batch run is a fresh
+// session replayed in one go (track_frames in tracker.hpp appends its
+// frames with append_frame and retracks once).
+//
+// Equivalence guarantee: retrack() is bit-identical to one retrack of a
+// fresh session over the same experiments and configuration — memoised
+// artefacts are only reused when every input that determines them is
+// unchanged. In particular the min-max scale fitted over ALL experiments
+// guards the pair memo: an appended frame that extends a range invalidates
+// every memoised pair (they are re-tracked from the memoised frames, which
+// is still cheap next to re-clustering). docs/SESSIONS.md covers the full
+// model.
 
 #include <cstdint>
 #include <map>
@@ -70,8 +74,10 @@ struct SessionConfig {
 
 /// Work/reuse accounting for one session (cumulative across retracks).
 struct SessionStats {
-  std::uint64_t frames_clustered = 0;  ///< built by running the pipeline
-  std::uint64_t frames_memoized = 0;   ///< reused in-memory across retracks
+  std::uint64_t frames_clustered = 0;  ///< built by build_frame
+  /// Reused in memory: clustered by an earlier retrack, or appended
+  /// already built (append_frame).
+  std::uint64_t frames_memoized = 0;
   std::uint64_t pairs_tracked = 0;     ///< track_pair executions
   std::uint64_t pairs_memoized = 0;    ///< pair relations reused
   std::uint64_t scale_invalidations = 0;  ///< pair memo flushes (scale moved)
@@ -92,6 +98,11 @@ public:
   /// slot index. No work happens until retrack().
   std::size_t append_experiment(std::shared_ptr<const trace::Trace> trace);
 
+  /// Append an experiment that is already clustered; it is tracked as-is,
+  /// with no clustering and no `cluster_experiment` failpoint. The frame
+  /// must share the other slots' metric axes. Returns the slot index.
+  std::size_t append_frame(cluster::Frame frame);
+
   /// Append a slot for an experiment that already failed upstream (e.g. an
   /// unreadable trace file). Participates in gap accounting and reporting
   /// but contributes no frame.
@@ -111,13 +122,17 @@ public:
 
 private:
   struct Slot {
-    std::shared_ptr<const trace::Trace> trace;  ///< null for gap slots
+    /// The experiment's trace; null for gap slots (and for a prebuilt
+    /// frame that carries no source).
+    std::shared_ptr<const trace::Trace> trace;
     std::string label;
     std::string reason;      ///< gap reason (append_gap or failed build)
     bool attempted = false;  ///< clustering tried (memoised outcome below)
     std::optional<cluster::Frame> frame;
     std::shared_ptr<const FrameAlignment> alignment;  ///< from alignment_memo_
     std::exception_ptr rethrow;  ///< original failure, for strict mode
+
+    bool gap() const { return trace == nullptr && !frame.has_value(); }
   };
 
   void cluster_new_slots();

@@ -1,16 +1,8 @@
 #include "tracking/tracker.hpp"
 
-#include <algorithm>
-#include <map>
-#include <memory>
-#include <numeric>
-#include <optional>
-
 #include "common/error.hpp"
-#include "common/log.hpp"
-#include "common/thread_pool.hpp"
-#include "obs/telemetry.hpp"
 #include "trace/metrics.hpp"
+#include "tracking/session.hpp"
 
 namespace perftrack::tracking {
 
@@ -33,43 +25,6 @@ const TrackedRegion& TrackingResult::region(int id) const {
   return regions[static_cast<std::size_t>(id)];
 }
 
-namespace {
-
-/// Union-find over (frame, object) nodes across the whole sequence.
-class SequenceComponents {
-public:
-  explicit SequenceComponents(const std::vector<cluster::Frame>& frames) {
-    offsets_.reserve(frames.size());
-    std::size_t total = 0;
-    for (const auto& f : frames) {
-      offsets_.push_back(total);
-      total += f.object_count();
-    }
-    parent_.resize(total);
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-
-  std::size_t node(std::size_t frame, ObjectId object) const {
-    return offsets_[frame] + static_cast<std::size_t>(object);
-  }
-
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void unite(std::size_t x, std::size_t y) { parent_[find(x)] = find(y); }
-
-private:
-  std::vector<std::size_t> offsets_;
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
-
 std::vector<bool> tracking_log_scale(const TrackingParams& params,
                                      const cluster::Frame& first) {
   if (!params.log_scale.empty()) return params.log_scale;
@@ -82,142 +37,17 @@ std::vector<bool> tracking_log_scale(const TrackingParams& params,
 
 TrackingResult track_frames(std::vector<cluster::Frame> frames,
                             const TrackingParams& params) {
-  PT_SPAN("track_frames");
   PT_REQUIRE(frames.size() >= 2, "tracking needs at least two frames");
-
-  TrackingResult result;
-  result.frames = std::move(frames);
-  const std::size_t frame_count = result.frames.size();
-
-  ThreadPool pool(ThreadPool::resolve(params.threads));
-  PT_GAUGE("threads", static_cast<double>(pool.thread_count()));
-
-  {
-    PT_SPAN("scale_fit");
-    result.scale = ScaleNormalization::fit(
-        result.frames, tracking_log_scale(params, result.frames[0]));
-  }
-
-  // Per-frame artefacts, computed once per frame and shared by both of the
-  // frame's adjacent pairs: the sequence alignment, and (for the
-  // displacement evaluator) the normalised clustered cloud + kd-tree.
-  // Frames are independent, so this stage is one task per frame.
-  std::vector<std::optional<FrameAlignment>> alignments(frame_count);
-  std::vector<std::unique_ptr<FrameCloud>> clouds(frame_count);
-  {
-    PT_SPAN("frame_alignments");
-    const std::vector<const char*> here = obs::current_span_path();
-    pool.parallel_for(0, frame_count, [&](std::size_t f) {
-      obs::SpanContext ctx(here);
-      alignments[f].emplace(result.frames[f], params.alignment_scores,
-                            params.alignment_engine, &pool);
-      if (params.use_displacement)
-        clouds[f] = std::make_unique<FrameCloud>(result.frames[f],
-                                                 result.scale,
-                                                 params.displacement_index);
-    });
-  }
-
-  // Pairwise tracking: adjacent pairs are independent given the per-frame
-  // cache, one task per pair. Results land in their slot, so the sequence
-  // is identical for any thread count.
-  result.pairs.resize(frame_count - 1);
-  {
-    const std::vector<const char*> here = obs::current_span_path();
-    pool.parallel_for(0, frame_count - 1, [&](std::size_t p) {
-      obs::SpanContext ctx(here);
-      result.pairs[p] = track_pair(result.frames[p], *alignments[p],
-                                   result.frames[p + 1], *alignments[p + 1],
-                                   result.scale, params, clouds[p].get(),
-                                   clouds[p + 1].get(), &pool);
-      PT_LOG(Debug) << "pair " << p << ": "
-                    << result.pairs[p].relations.size() << " relations";
-    });
-  }
-
-  return chain_tracking(std::move(result.frames), std::move(result.scale),
-                        std::move(result.pairs));
-}
-
-TrackingResult chain_tracking(std::vector<cluster::Frame> frames,
-                              ScaleNormalization scale,
-                              std::vector<PairTracking> pairs) {
-  PT_REQUIRE(frames.size() >= 2, "tracking needs at least two frames");
-  PT_REQUIRE(pairs.size() + 1 == frames.size(),
-             "need exactly one pair tracking per adjacent frame pair");
-
-  TrackingResult result;
-  result.frames = std::move(frames);
-  result.scale = std::move(scale);
-  result.pairs = std::move(pairs);
-  const std::size_t frame_count = result.frames.size();
-
-  // Chain relations into whole-sequence regions.
-  PT_SPAN("chain_regions");
-  SequenceComponents components(result.frames);
-  for (std::size_t p = 0; p + 1 < frame_count; ++p) {
-    for (const Relation& rel : result.pairs[p].relations) {
-      std::size_t anchor = components.node(p, *rel.left.begin());
-      for (ObjectId a : rel.left)
-        components.unite(anchor, components.node(p, a));
-      for (ObjectId b : rel.right)
-        components.unite(anchor, components.node(p + 1, b));
-    }
-  }
-
-  std::map<std::size_t, TrackedRegion> by_root;
-  for (std::size_t f = 0; f < frame_count; ++f) {
-    for (std::size_t o = 0; o < result.frames[f].object_count(); ++o) {
-      auto id = static_cast<ObjectId>(o);
-      std::size_t root = components.find(components.node(f, id));
-      TrackedRegion& region = by_root[root];
-      if (region.members.empty()) region.members.resize(frame_count);
-      region.members[f].insert(id);
-      region.total_duration += result.frames[f].object(id).total_duration;
-    }
-  }
-
-  result.regions.reserve(by_root.size());
-  for (auto& [root, region] : by_root) {
-    region.complete = region.frames_present() == frame_count;
-    result.regions.push_back(std::move(region));
-  }
-  std::sort(result.regions.begin(), result.regions.end(),
-            [](const TrackedRegion& x, const TrackedRegion& y) {
-              if (x.complete != y.complete) return x.complete;
-              return x.total_duration > y.total_duration;
-            });
-  for (std::size_t r = 0; r < result.regions.size(); ++r)
-    result.regions[r].id = static_cast<int>(r);
-
-  result.complete_count = 0;
-  for (const TrackedRegion& region : result.regions)
-    if (region.complete) ++result.complete_count;
-
-  std::size_t min_objects = result.frames[0].object_count();
-  for (const auto& f : result.frames)
-    min_objects = std::min(min_objects, f.object_count());
-  result.coverage = min_objects == 0
-                        ? 0.0
-                        : static_cast<double>(result.complete_count) /
-                              static_cast<double>(min_objects);
-
-  // Frame-object -> region renaming (for recoloured output, Fig. 6).
-  result.renaming.resize(frame_count);
-  for (std::size_t f = 0; f < frame_count; ++f)
-    result.renaming[f].assign(result.frames[f].object_count(), -1);
-  for (const TrackedRegion& region : result.regions)
-    for (std::size_t f = 0; f < frame_count; ++f)
-      for (ObjectId o : region.members[f])
-        result.renaming[f][static_cast<std::size_t>(o)] = region.id;
-
-  if (obs::enabled()) {
-    PT_COUNTER("regions_total", static_cast<double>(result.regions.size()));
-    PT_COUNTER("regions_complete",
-               static_cast<double>(result.complete_count));
-    PT_GAUGE("coverage", result.coverage);
-  }
-  return result;
+  // A batch run is a fresh session replayed. The frames' own axes stand in
+  // for the clustering they already went through, so validate() checks
+  // params.log_scale against their dimensionality.
+  SessionConfig config;
+  config.clustering.projection.metrics = frames[0].projection().metrics;
+  config.clustering.log_scale.clear();
+  config.tracking = params;
+  TrackingSession session(std::move(config));
+  for (cluster::Frame& frame : frames) session.append_frame(std::move(frame));
+  return session.retrack();
 }
 
 }  // namespace perftrack::tracking

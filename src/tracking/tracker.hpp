@@ -68,7 +68,7 @@ struct TrackingResult {
   std::vector<std::vector<std::int32_t>> renaming;
 
   /// Sequence slots lost to load/cluster failures (degraded runs only).
-  /// Filled by TrackingPipeline; track_frames itself never creates gaps.
+  /// Filled by TrackingSession; track_frames itself never creates gaps.
   std::vector<ExperimentGap> gaps;
 
   /// Experiments originally in the sequence: surviving frames plus gaps.
@@ -84,23 +84,16 @@ struct TrackingResult {
   const TrackedRegion& region(int id) const;
 };
 
-/// Track a sequence of >= 2 frames built over the same metric axes.
+/// Track a sequence of >= 2 frames built over the same metric axes: the
+/// frames replayed through a fresh TrackingSession (tracking/session.hpp),
+/// so a batch run and an incremental one share a single implementation.
+/// Throws Error when `params` fails SessionConfig::validate().
 TrackingResult track_frames(std::vector<cluster::Frame> frames,
                             const TrackingParams& params = {});
 
 /// Per-axis log flags the scale fit uses: params.log_scale when set,
 /// otherwise log on every task-weighted axis of `first`'s metric space.
-/// Shared by track_frames and the incremental TrackingSession so the two
-/// paths cannot drift.
 std::vector<bool> tracking_log_scale(const TrackingParams& params,
                                      const cluster::Frame& first);
-
-/// Chain already-computed pair relations into whole-sequence regions:
-/// the final stage of track_frames, split out so TrackingSession can feed
-/// it memoised pairs. `pairs[p]` must track `frames[p] -> frames[p+1]`
-/// and the scale must be the one the pairs were computed under.
-TrackingResult chain_tracking(std::vector<cluster::Frame> frames,
-                              ScaleNormalization scale,
-                              std::vector<PairTracking> pairs);
 
 }  // namespace perftrack::tracking

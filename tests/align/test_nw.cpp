@@ -121,19 +121,6 @@ void expect_same_alignment(const PairAlignment& x, const PairAlignment& y) {
   EXPECT_DOUBLE_EQ(x.score, y.score);
 }
 
-TEST(AlignmentEngineTest, ParseAndToStringRoundTrip) {
-  for (AlignmentEngine engine :
-       {AlignmentEngine::kAuto, AlignmentEngine::kFull,
-        AlignmentEngine::kBanded}) {
-    auto parsed = parse_alignment_engine(to_string(engine));
-    ASSERT_TRUE(parsed.has_value()) << to_string(engine);
-    EXPECT_EQ(*parsed, engine);
-  }
-  EXPECT_FALSE(parse_alignment_engine("diagonal").has_value());
-  EXPECT_FALSE(parse_alignment_engine("").has_value());
-  EXPECT_FALSE(parse_alignment_engine("Banded").has_value());
-}
-
 TEST(NeedlemanWunschBanded, DegenerateShapesMatchFull) {
   const std::vector<std::pair<std::vector<Symbol>, std::vector<Symbol>>>
       cases = {{{}, {}},         {seq({1}), {}},      {{}, seq({2})},

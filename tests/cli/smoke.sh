@@ -36,7 +36,7 @@ test -s profile.json
 test -s trace_events.json
 # The run report covers every pipeline stage...
 grep -q '"schema":"perftrack-run-report"' profile.json
-for span in dbscan pipeline_run track_frames frame_alignment \
+for span in dbscan session_retrack track_frames frame_alignment \
             evaluator_displacement evaluator_spmd evaluator_callstack \
             evaluator_sequence needleman_wunsch; do
   grep -q "\"$span\"" profile.json
@@ -78,7 +78,7 @@ test -s pv_base.pcf
 
 echo "== bad flag values are usage errors (exit 2), not crashes =="
 for bad in "--eps banana" "--eps -1" "--min-pts -3" "--min-pts 0" \
-           "--threads many" "--min-cluster-frac 2"; do
+           "--threads many" "--threads 257" "--min-cluster-frac 2"; do
   rc=0
   # shellcheck disable=SC2086
   "$TOOLS_DIR/perftrack" track hydroc_sample.ptt hydroc_sample.ptt $bad \
@@ -104,6 +104,14 @@ test "$rc" -eq 2
 test ! -e fcache
 rc=0
 "$TOOLS_DIR/perftrackd" --front --socket front.sock 2> /dev/null || rc=$?
+test "$rc" -eq 2
+rc=0
+"$TOOLS_DIR/perftrack" track hydroc_sample.ptt hydroc_sample.ptt \
+    --align-engine full 2> /dev/null || rc=$?
+test "$rc" -eq 2
+rc=0
+"$TOOLS_DIR/perftrackd" --align-engine full --stdio < /dev/null \
+    2> /dev/null || rc=$?
 test "$rc" -eq 2
 printf '{"id":1,"method":"ping"}\n' | "$TOOLS_DIR/perftrackd" --stdio \
     --no-cache | grep -q '"pong":true'

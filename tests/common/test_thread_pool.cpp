@@ -144,5 +144,40 @@ TEST(ThreadPoolTest, ThreadCountAndResolve) {
   EXPECT_EQ(ThreadPool::resolve(7), 7u);
 }
 
+TEST(ThreadPoolTest, SharedReturnsOnePoolPerCount) {
+  ThreadPool& two = ThreadPool::shared(2);
+  EXPECT_EQ(&ThreadPool::shared(2), &two);
+  EXPECT_EQ(two.thread_count(), 2u);
+  EXPECT_NE(&ThreadPool::shared(3), &two);
+  // Zero and one both resolve to the inline pool.
+  EXPECT_EQ(&ThreadPool::shared(0), &ThreadPool::shared(1));
+  EXPECT_EQ(ThreadPool::shared(1).thread_count(), 1u);
+}
+
+TEST(ThreadPoolTest, SharedPoolServesConcurrentCallersWithNesting) {
+  // Outside threads (perftrackd connections retracking different studies)
+  // feed one pool at once, each with nested parallel_for bodies that run
+  // inline on the workers: every index runs exactly once, and nobody
+  // waits forever.
+  ThreadPool& pool = ThreadPool::shared(4);
+  constexpr std::size_t kCallers = 6;
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 8;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits(kCallers * kOuter * kInner);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round)
+        pool.parallel_for(0, kOuter, [&](std::size_t i) {
+          pool.parallel_for(0, kInner, [&](std::size_t j) {
+            ++hits[(c * kOuter + i) * kInner + j];
+          });
+        });
+    });
+  for (std::thread& caller : callers) caller.join();
+  for (auto& h : hits) EXPECT_EQ(h.load(), kRounds);
+}
+
 }  // namespace
 }  // namespace perftrack

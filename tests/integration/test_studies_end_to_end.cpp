@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <ostream>
+#include <string>
 
 #include "sim/studies.hpp"
+#include "store/serialize.hpp"
+#include "tracking/report.hpp"
 #include "tracking/tracker.hpp"
 #include "tracking/trends.hpp"
 
@@ -75,6 +80,36 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       return name;
     });
+
+TEST(StudyGolden, TrackFramesDigestsArePinned) {
+  // FNV-1a of describe_tracking + trends_csv for every Table 2 study,
+  // captured while track_frames still ran its own copy of the tracking
+  // loop. Now that it replays a TrackingSession, these pin the old loop's
+  // answers byte for byte.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"Gadget", 0xa91ab6c0249bfb6dull},
+      {"QuantumESPRESSO", 0xb8305cfa4c214810ull},
+      {"WRF", 0xf839af6b3665ef49ull},
+      {"Gromacs", 0x109c4c43f66b1b8eull},
+      {"CGPOP", 0x4499ae05d2cee84cull},
+      {"NAS BT", 0x6fdfffd7cfd00febull},
+      {"HydroC", 0x9297abe746b1c7bdull},
+      {"MR-Genesis", 0x1ef689eba8875b3dull},
+      {"NAS FT", 0xcc3508eeb079222aull},
+      {"Gromacs (evolution)", 0x423cd8e71280261dull},
+  };
+  std::size_t checked = 0;
+  for (const sim::Study& study : sim::all_studies()) {
+    tracking::TrackingResult result =
+        tracking::track_frames(study.frames(), {});
+    const std::uint64_t digest = store::fnv1a64(
+        tracking::describe_tracking(result) + tracking::trends_csv(result));
+    ASSERT_TRUE(golden.count(study.name)) << study.name;
+    EXPECT_EQ(digest, golden.at(study.name)) << study.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, golden.size());
+}
 
 TEST(StudyDetails, ResultsAreSeedStable) {
   // A different seed offset is a fresh synthetic measurement run; the

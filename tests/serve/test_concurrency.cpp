@@ -22,8 +22,8 @@
 #include "serve/service.hpp"
 #include "testing/test_traces.hpp"
 #include "trace/trace_io.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 namespace perftrack::serve {
@@ -71,17 +71,21 @@ Request append_request(const std::string& study, std::uint64_t seed) {
   return r;
 }
 
+/// A batch run: describe_tracking() of one retrack of a fresh session.
+std::string batch_region_text(const std::vector<std::uint64_t>& seeds) {
+  tracking::TrackingSession batch(fast_config());
+  for (std::uint64_t seed : seeds) batch.append_experiment(experiment(seed));
+  return describe_tracking(batch.retrack());
+}
+
 /// Serial replay: the expected describe_tracking() text after the first
 /// `prefix` appends of `seeds` (prefix >= 2).
 std::map<std::size_t, std::string> serial_region_texts(
     const std::vector<std::uint64_t>& seeds) {
   std::map<std::size_t, std::string> expected;
-  tracking::TrackingPipeline pipeline;
-  pipeline.set_config(fast_config());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    pipeline.add_experiment(experiment(seeds[i]));
-    if (i + 1 >= 2) expected[i + 1] = describe_tracking(pipeline.run());
-  }
+  for (std::size_t prefix = 2; prefix <= seeds.size(); ++prefix)
+    expected[prefix] = batch_region_text(
+        std::vector<std::uint64_t>(seeds.begin(), seeds.begin() + prefix));
   return expected;
 }
 
@@ -173,11 +177,8 @@ TEST(ServeConcurrencyTest, ManyStudiesInParallelDoNotInterfere) {
   for (int s = 0; s < kStudies; ++s) {
     const std::string name = "study-" + std::to_string(s);
     const std::uint64_t base = static_cast<std::uint64_t>(s) * 100 + 1;
-    tracking::TrackingPipeline pipeline;
-    pipeline.set_config(fast_config());
-    for (std::uint64_t i = 0; i < 3; ++i)
-      pipeline.add_experiment(experiment(base + i));
-    const std::string expected = describe_tracking(pipeline.run());
+    const std::string expected =
+        batch_region_text({base, base + 1, base + 2});
 
     Response r = service.handle(req("regions", name));
     ASSERT_TRUE(r.ok) << r.message;
@@ -195,11 +196,7 @@ TEST(ServeConcurrencyTest, EvictionRacesWithReadsSafely) {
   service.handle(append_request("churn", 1));
   service.handle(append_request("churn", 2));
 
-  tracking::TrackingPipeline pipeline;
-  pipeline.set_config(fast_config());
-  pipeline.add_experiment(experiment(1));
-  pipeline.add_experiment(experiment(2));
-  const std::string expected = describe_tracking(pipeline.run());
+  const std::string expected = batch_region_text({1, 2});
 
   // Daemon-wide stats: unlike a study's own stats, they leave the study's
   // idle clock alone.

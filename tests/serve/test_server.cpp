@@ -32,8 +32,8 @@
 #include "serve/service.hpp"
 #include "testing/test_traces.hpp"
 #include "trace/trace_io.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 
 namespace perftrack::serve {
 namespace {
@@ -477,14 +477,13 @@ TEST(ServeUnixSocketTest, LargeInlineAppendInRandomPiecesMatchesBatch) {
   ASSERT_GE(big.size(), 6'000'000u);
   const std::string small = trace_text("small", 7);
 
-  tracking::TrackingPipeline batch;
-  batch.set_config(ServiceConfig{}.session);
+  tracking::TrackingSession batch(ServiceConfig{}.session);
   for (const std::string* text : {&big, &small}) {
     std::istringstream in(*text);
-    batch.add_experiment(
+    batch.append_experiment(
         std::make_shared<const trace::Trace>(trace::read_trace(in)));
   }
-  const std::string expected = tracking::describe_tracking(batch.run());
+  const std::string expected = tracking::describe_tracking(batch.retrack());
 
   const std::string path =
       (fs::path(::testing::TempDir()) / "pt_serve_pieces.sock").string();

@@ -16,8 +16,8 @@
 #include "obs/json.hpp"
 #include "testing/test_traces.hpp"
 #include "trace/trace_io.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/trends.hpp"
 
 namespace perftrack::serve {
@@ -160,15 +160,14 @@ TEST(ServiceTest, ReadsBeforeTwoAppendsAreBadRequests) {
 
 TEST(ServiceTest, DaemonReadsMatchBatchPipeline) {
   // The acceptance criterion: after N appends, regions/trends/coverage are
-  // byte-identical to the batch pipeline over the same traces.
+  // byte-identical to a batch run over the same traces.
   auto a = experiment("A", 1);
   auto b = experiment("B", 2);
   auto c = experiment("C", 3);
 
-  tracking::TrackingPipeline batch;
-  batch.set_config(test_session_config());
-  for (const auto& t : {a, b, c}) batch.add_experiment(t);
-  tracking::TrackingResult expected = batch.run();
+  tracking::TrackingSession batch(test_session_config());
+  for (const auto& t : {a, b, c}) batch.append_experiment(t);
+  tracking::TrackingResult expected = batch.retrack();
 
   TrackingService service(test_config());
   ok(service, req("open_study", "s"));

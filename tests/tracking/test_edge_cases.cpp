@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "testing/test_traces.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/tracker.hpp"
 
 namespace perftrack::tracking {
 namespace {

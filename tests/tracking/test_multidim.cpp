@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/apps/apps.hpp"
-#include "tracking/pipeline.hpp"
+#include "tracking/session.hpp"
 
 namespace perftrack::tracking {
 namespace {
@@ -26,7 +26,9 @@ cluster::ClusteringParams three_axis_params() {
 
 TEST(MultiDimTracking, ThreeMetricSpaceTracksNasBt) {
   sim::AppModel app = sim::make_nas_bt();
-  TrackingPipeline pipeline;
+  SessionConfig config;
+  config.clustering = three_axis_params();
+  TrackingSession session(config);
   for (double scale : {1.0, 4.0, 16.0}) {
     sim::Scenario scenario;
     scenario.label = "scale " + std::to_string(scale);
@@ -34,12 +36,9 @@ TEST(MultiDimTracking, ThreeMetricSpaceTracksNasBt) {
     scenario.problem_scale = scale;
     scenario.platform = sim::marenostrum();
     scenario.seed = 600 + static_cast<std::uint64_t>(scale);
-    pipeline.add_experiment(app.simulate_shared(scenario));
+    session.append_experiment(app.simulate_shared(scenario));
   }
-  SessionConfig config;
-  config.clustering = three_axis_params();
-  pipeline.set_config(config);
-  TrackingResult result = pipeline.run();
+  TrackingResult result = session.retrack();
   // The six regions stay identifiable and tracked in 3-D as well.
   for (const auto& frame : result.frames)
     EXPECT_EQ(frame.object_count(), 6u) << frame.label();
@@ -54,7 +53,12 @@ TEST(MultiDimTracking, SingleMetricSpaceStillWorks) {
   // A 1-D space (instructions only) can separate regions with distinct
   // instruction counts and track them.
   sim::AppModel app = sim::make_nas_ft();
-  TrackingPipeline pipeline;
+  SessionConfig config;
+  config.clustering.projection.metrics = {trace::Metric::Instructions};
+  config.clustering.log_scale = {true};
+  config.clustering.dbscan.eps = 0.05;
+  config.clustering.dbscan.min_pts = 5;
+  TrackingSession session(config);
   for (int i = 0; i < 3; ++i) {
     sim::Scenario scenario;
     scenario.label = "step " + std::to_string(i);
@@ -62,15 +66,9 @@ TEST(MultiDimTracking, SingleMetricSpaceStillWorks) {
     scenario.problem_scale = std::pow(1.25, i);
     scenario.platform = sim::minotauro();
     scenario.seed = 700 + static_cast<std::uint64_t>(i);
-    pipeline.add_experiment(app.simulate_shared(scenario));
+    session.append_experiment(app.simulate_shared(scenario));
   }
-  SessionConfig config;
-  config.clustering.projection.metrics = {trace::Metric::Instructions};
-  config.clustering.log_scale = {true};
-  config.clustering.dbscan.eps = 0.05;
-  config.clustering.dbscan.min_pts = 5;
-  pipeline.set_config(config);
-  TrackingResult result = pipeline.run();
+  TrackingResult result = session.retrack();
   EXPECT_EQ(result.complete_count, 2u);
   EXPECT_DOUBLE_EQ(result.coverage, 1.0);
 }

@@ -1,4 +1,4 @@
-// Determinism of the parallel pipeline: any thread count must produce
+// Determinism of parallel tracking: any thread count must produce
 // results identical to the serial run, because outputs land in pre-sized
 // slots and every stage's work is independent per frame / per pair.
 
@@ -8,8 +8,8 @@
 #include "sim/studies.hpp"
 #include "testing/test_traces.hpp"
 #include "tracking/evaluator_displacement.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 #include "tracking/tracker.hpp"
 
 namespace perftrack::tracking {
@@ -91,35 +91,34 @@ std::shared_ptr<const trace::Trace> experiment(const std::string& label,
   return make_mini_trace(spec);
 }
 
-TrackingResult run_pipeline(std::size_t threads) {
-  TrackingPipeline pipeline;
-  for (int i = 0; i < 6; ++i)
-    pipeline.add_experiment(
-        experiment(std::string(1, static_cast<char>('A' + i)),
-                   static_cast<std::uint64_t>(i + 1)));
-  SessionConfig config = pipeline.config();
+TrackingResult run_session(std::size_t threads) {
+  SessionConfig config;
   config.clustering.dbscan.eps = 0.05;
   config.clustering.dbscan.min_pts = 3;
   config.tracking.threads = threads;
-  pipeline.set_config(config);
-  return pipeline.run();
+  TrackingSession session(config);
+  for (int i = 0; i < 6; ++i)
+    session.append_experiment(
+        experiment(std::string(1, static_cast<char>('A' + i)),
+                   static_cast<std::uint64_t>(i + 1)));
+  return session.retrack();
 }
 
 TEST(ParallelTrackingTest, PipelineClusteringMatchesSerial) {
-  TrackingResult serial = run_pipeline(1);
-  TrackingResult parallel = run_pipeline(4);
+  TrackingResult serial = run_session(1);
+  TrackingResult parallel = run_session(4);
   ASSERT_EQ(serial.frames.size(), parallel.frames.size());
   for (std::size_t f = 0; f < serial.frames.size(); ++f) {
     EXPECT_EQ(serial.frames[f].label(), parallel.frames[f].label());
     EXPECT_EQ(serial.frames[f].labels(), parallel.frames[f].labels());
   }
-  expect_identical(serial, parallel, "pipeline threads=4");
+  expect_identical(serial, parallel, "session threads=4");
 }
 
 TEST(ParallelTrackingTest, ThreadCountZeroMeansAuto) {
-  TrackingResult serial = run_pipeline(1);
-  TrackingResult any = run_pipeline(0);  // hardware concurrency
-  expect_identical(serial, any, "pipeline threads=0");
+  TrackingResult serial = run_session(1);
+  TrackingResult any = run_session(0);  // hardware concurrency
+  expect_identical(serial, any, "session threads=0");
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/telemetry.hpp"
 #include "testing/test_traces.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
 
 namespace perftrack::tracking {
@@ -34,6 +36,14 @@ SessionConfig test_config() {
   config.clustering.dbscan.eps = 0.05;
   config.clustering.dbscan.min_pts = 3;
   return config;
+}
+
+/// A cold batch run: one retrack of a fresh session over `traces`.
+TrackingResult batch_run(
+    std::initializer_list<std::shared_ptr<const trace::Trace>> traces) {
+  TrackingSession batch(test_config());
+  for (const auto& t : traces) batch.append_experiment(t);
+  return batch.retrack();
 }
 
 /// Bit-level equivalence of two tracking results: everything a report or a
@@ -100,20 +110,77 @@ TEST(SessionConfigTest, SessionConstructorValidates) {
 }
 
 TEST(SessionConfigTest, PipelineConfigIsTheOneSurface) {
-  TrackingPipeline pipeline;
-  SessionConfig config = pipeline.config();
+  SessionConfig config;
   config.clustering.dbscan.eps = 0.123;
   config.tracking.use_spmd = false;
   config.resilience.lenient = true;
-  pipeline.set_config(config);
+  TrackingSession session(config);
 
-  EXPECT_EQ(pipeline.config().clustering.dbscan.eps, 0.123);
-  EXPECT_FALSE(pipeline.config().tracking.use_spmd);
-  EXPECT_TRUE(pipeline.config().resilience.lenient);
-  // The read-only views mirror the aggregate.
-  EXPECT_EQ(pipeline.clustering().dbscan.eps, 0.123);
-  EXPECT_FALSE(pipeline.tracking().use_spmd);
-  EXPECT_TRUE(pipeline.resilience().lenient);
+  EXPECT_EQ(session.config().clustering.dbscan.eps, 0.123);
+  EXPECT_FALSE(session.config().tracking.use_spmd);
+  EXPECT_TRUE(session.config().resilience.lenient);
+}
+
+TEST(SessionConfigTest, ThreadCountIsBounded) {
+  SessionConfig config = test_config();
+  config.tracking.threads = ThreadPool::kMaxThreads;
+  EXPECT_TRUE(config.validate().empty());
+  config.tracking.threads = 0;  // auto
+  EXPECT_TRUE(config.validate().empty());
+
+  config.tracking.threads = ThreadPool::kMaxThreads + 1;
+  std::vector<std::string> problems = config.validate();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("tracking.threads must be at most 256"),
+            std::string::npos)
+      << problems[0];
+  config.tracking.threads = ~std::size_t{0};
+  EXPECT_EQ(config.validate().size(), 1u);
+  // Rejected before any pool exists: the constructor validates.
+  EXPECT_THROW(TrackingSession{config}, Error);
+}
+
+// --- Batch runs: append every experiment, retrack once ------------------
+
+TEST(PipelineTest, DefaultsToPaperAxes) {
+  TrackingSession session;
+  const cluster::ClusteringParams& clustering = session.config().clustering;
+  ASSERT_EQ(clustering.projection.metrics.size(), 2u);
+  EXPECT_EQ(clustering.projection.metrics[0], trace::Metric::Instructions);
+  EXPECT_EQ(clustering.projection.metrics[1], trace::Metric::Ipc);
+}
+
+TEST(PipelineTest, RejectsNullAndTooFewExperiments) {
+  TrackingSession session;
+  EXPECT_THROW(session.append_experiment(nullptr), PreconditionError);
+  session.append_experiment(experiment("A", 1));
+  EXPECT_THROW(session.retrack(), PreconditionError);
+}
+
+TEST(PipelineTest, EndToEndRun) {
+  TrackingSession session(test_config());
+  session.append_experiment(experiment("A", 1));
+  session.append_experiment(experiment("B", 2));
+  session.append_experiment(experiment("C", 3));
+
+  TrackingResult result = session.retrack();
+  EXPECT_EQ(result.frames.size(), 3u);
+  EXPECT_EQ(result.complete_count, 2u);
+  EXPECT_DOUBLE_EQ(result.coverage, 1.0);
+  EXPECT_EQ(result.frames[0].label(), "A");
+  EXPECT_EQ(result.frames[2].label(), "C");
+}
+
+TEST(PipelineTest, TrackingParamsArePassedThrough) {
+  SessionConfig config = test_config();
+  config.tracking.use_sequence = false;
+  config.tracking.use_spmd = false;
+  TrackingSession session(config);
+  session.append_experiment(experiment("A", 1));
+  session.append_experiment(experiment("B", 2));
+  EXPECT_FALSE(session.config().tracking.use_sequence);
+  TrackingResult result = session.retrack();
+  EXPECT_EQ(result.complete_count, 2u);
 }
 
 TEST(SessionTest, NeedsTwoSlots) {
@@ -129,10 +196,7 @@ TEST(SessionTest, IncrementalAppendsMatchColdBatch) {
   auto c = experiment("C", 3, 0.02);
   auto d = experiment("D", 4, 0.02);
 
-  TrackingPipeline batch;
-  batch.set_config(test_config());
-  for (const auto& t : {a, b, c, d}) batch.add_experiment(t);
-  TrackingResult cold = batch.run();
+  TrackingResult cold = batch_run({a, b, c, d});
 
   TrackingSession session(test_config());
   session.append_experiment(a);
@@ -212,12 +276,8 @@ TEST(SessionTest, ScaleShiftInvalidatesPairsButNotFrames) {
       << "the old pair re-tracked under the new scale plus the new pair";
 
   // And the result is still bit-identical to a cold batch run.
-  TrackingPipeline batch;
-  batch.set_config(test_config());
-  batch.add_experiment(experiment("A", 1));
-  batch.add_experiment(experiment("B", 2));
-  batch.add_experiment(c);
-  expect_same_tracking(incremental, batch.run());
+  expect_same_tracking(incremental,
+                       batch_run({experiment("A", 1), experiment("B", 2), c}));
 }
 
 TEST(SessionTest, GapsAreTrackedAcrossAndReported) {
@@ -286,10 +346,7 @@ TEST(SessionTest, ReappendedExperimentHitsTheAlignmentMemo) {
   EXPECT_EQ(after.alignments_memoized, before.alignments_memoized + 1);
 
   // And the memoized profile must not change the output.
-  TrackingPipeline batch;
-  batch.set_config(test_config());
-  for (const auto& t : {a, b, a}) batch.add_experiment(t);
-  expect_same_tracking(warm, batch.run());
+  expect_same_tracking(warm, batch_run({a, b, a}));
 }
 
 TEST(SessionTest, DistinctAppendComputesAFreshAlignment) {
@@ -328,6 +385,67 @@ TEST(SessionTest, AlignmentMemoServesAcrossGapSlots) {
   EXPECT_EQ(result.gaps.size(), 1u);
   EXPECT_EQ(after.alignments_computed, before.alignments_computed);
   EXPECT_EQ(after.alignments_memoized, before.alignments_memoized + 1);
+}
+
+// --- Prebuilt frames and the process pool -------------------------------
+
+TEST(SessionTest, PrebuiltFramesMatchTraces) {
+  // append_frame skips clustering, and with it the cluster_experiment
+  // failpoint, but is otherwise the same slot: gaps, reports and the
+  // frame-object renaming match a session fed the traces.
+  SessionConfig config = test_config();
+  config.resilience.lenient = true;
+  auto a = experiment("A", 1, 0.02);
+  auto b = experiment("B", 2, 0.02);
+  auto c = experiment("C", 3, 0.02);
+
+  TrackingSession from_traces(config);
+  from_traces.append_experiment(a);
+  from_traces.append_gap("missing.ptt", "file not found");
+  from_traces.append_experiment(b);
+  from_traces.append_experiment(c);
+  TrackingResult expected = from_traces.retrack();
+
+  TrackingSession from_frames(config);
+  from_frames.append_frame(cluster::build_frame(a, config.clustering));
+  from_frames.append_gap("missing.ptt", "file not found");
+  from_frames.append_frame(cluster::build_frame(b, config.clustering));
+  from_frames.append_frame(cluster::build_frame(c, config.clustering));
+  EXPECT_EQ(from_frames.experiment_count(), 4u);
+  EXPECT_EQ(from_frames.gap_count(), 1u);
+
+  failpoint::activate("cluster_experiment", "error");
+  TrackingResult result = from_frames.retrack();
+  failpoint::clear();
+
+  expect_same_tracking(result, expected);
+  ASSERT_EQ(result.gaps.size(), 1u);
+  EXPECT_EQ(result.gaps[0].slot, 1u);
+  EXPECT_EQ(result.gaps[0].label, "missing.ptt");
+  EXPECT_EQ(from_frames.stats().frames_clustered, 0u);
+}
+
+TEST(SessionTest, ThreadLogsStayBoundedAcrossRetracks) {
+  // Every retrack runs on the process-wide pool, so twenty rounds register
+  // at most one telemetry log per pool worker. A pool built per retrack
+  // would register fresh workers every round.
+  SessionConfig config = test_config();
+  config.tracking.threads = 4;
+  obs::set_enabled(true);
+  obs::current_thread_timeline();  // registers this thread's log up front
+  const std::size_t before = obs::timelines().size();
+
+  TrackingSession session(config);
+  session.append_experiment(experiment("E0", 1));
+  for (std::uint64_t round = 1; round <= 20; ++round) {
+    session.append_experiment(
+        experiment("E" + std::to_string(round), round + 1));
+    session.retrack();
+  }
+  const std::size_t grown = obs::timelines().size() - before;
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_LE(grown, 4u);
 }
 
 }  // namespace

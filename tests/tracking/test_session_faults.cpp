@@ -1,4 +1,4 @@
-// Degraded-mode pipeline tests: failpoint-poisoned experiments become gaps
+// Degraded-mode session tests: failpoint-poisoned experiments become gaps
 // in lenient mode, the tracker bridges them, and the surviving sequence
 // matches a clean run over the same surviving experiments.
 
@@ -9,8 +9,8 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "testing/test_traces.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 
 namespace perftrack::tracking {
 namespace {
@@ -46,14 +46,13 @@ protected:
 TEST_F(PipelineFaultTest, PoisonedExperimentsBecomeGaps) {
   // A 10-frame sequence with experiments 3 and 7 (1-based) poisoned: the
   // lenient run must complete with 8 frames and 2 reported gaps.
-  TrackingPipeline pipeline;
+  TrackingSession session(test_config(/*lenient=*/true));
   for (int i = 0; i < 10; ++i)
-    pipeline.add_experiment(
+    session.append_experiment(
         experiment("E" + std::to_string(i), static_cast<std::uint64_t>(i + 1)));
-  pipeline.set_config(test_config(/*lenient=*/true));
 
   failpoint::activate("cluster_experiment", "@3,7");
-  TrackingResult result = pipeline.run();
+  TrackingResult result = session.retrack();
 
   EXPECT_EQ(result.frames.size(), 8u);
   EXPECT_EQ(result.sequence_length(), 10u);
@@ -88,18 +87,16 @@ TEST_F(PipelineFaultTest, SurvivingFramesMatchNoFaultRun) {
     all.push_back(
         experiment("E" + std::to_string(i), static_cast<std::uint64_t>(i + 1)));
 
-  TrackingPipeline faulty;
-  for (const auto& t : all) faulty.add_experiment(t);
-  faulty.set_config(test_config(/*lenient=*/true));
+  TrackingSession faulty(test_config(/*lenient=*/true));
+  for (const auto& t : all) faulty.append_experiment(t);
   failpoint::activate("cluster_experiment", "@3,7");
-  TrackingResult degraded = faulty.run();
+  TrackingResult degraded = faulty.retrack();
   failpoint::clear();
 
-  TrackingPipeline clean;
+  TrackingSession clean(test_config());
   for (std::size_t i = 0; i < all.size(); ++i)
-    if (i != 2 && i != 6) clean.add_experiment(all[i]);
-  clean.set_config(test_config());
-  TrackingResult expected = clean.run();
+    if (i != 2 && i != 6) clean.append_experiment(all[i]);
+  TrackingResult expected = clean.retrack();
 
   ASSERT_EQ(degraded.frames.size(), expected.frames.size());
   for (std::size_t f = 0; f < expected.frames.size(); ++f) {
@@ -114,26 +111,24 @@ TEST_F(PipelineFaultTest, SurvivingFramesMatchNoFaultRun) {
 }
 
 TEST_F(PipelineFaultTest, StrictModePropagatesInjectedFault) {
-  TrackingPipeline pipeline;
+  TrackingSession session(test_config());
   for (int i = 0; i < 4; ++i)
-    pipeline.add_experiment(
+    session.append_experiment(
         experiment("E" + std::to_string(i), static_cast<std::uint64_t>(i + 1)));
-  pipeline.set_config(test_config());
   failpoint::activate("cluster_experiment", "@2");
-  EXPECT_THROW(pipeline.run(), InjectedFault);
+  EXPECT_THROW(session.retrack(), InjectedFault);
 }
 
 TEST_F(PipelineFaultTest, GapBudgetExhaustionThrows) {
-  TrackingPipeline pipeline;
-  for (int i = 0; i < 4; ++i)
-    pipeline.add_experiment(
-        experiment("E" + std::to_string(i), static_cast<std::uint64_t>(i + 1)));
   SessionConfig config = test_config(/*lenient=*/true);
   config.resilience.max_gap_fraction = 0.5;
-  pipeline.set_config(config);
+  TrackingSession session(config);
+  for (int i = 0; i < 4; ++i)
+    session.append_experiment(
+        experiment("E" + std::to_string(i), static_cast<std::uint64_t>(i + 1)));
   failpoint::activate("cluster_experiment", "@1,2,3");
   try {
-    pipeline.run();
+    session.retrack();
     FAIL() << "expected gap budget exhaustion";
   } catch (const Error& error) {
     EXPECT_NE(std::string(error.what()).find("gap budget"),
@@ -142,17 +137,17 @@ TEST_F(PipelineFaultTest, GapBudgetExhaustionThrows) {
 }
 
 TEST_F(PipelineFaultTest, PreDeclaredGapsCountAndReport) {
-  // add_gap slots (e.g. unreadable files) behave like clustering failures.
-  TrackingPipeline pipeline;
-  pipeline.add_experiment(experiment("A", 1));
-  pipeline.add_gap("missing.ptt", "cannot open for reading");
-  pipeline.add_experiment(experiment("B", 2));
-  pipeline.add_experiment(experiment("C", 3));
-  pipeline.set_config(test_config(/*lenient=*/true));
+  // append_gap slots (e.g. unreadable files) behave like clustering
+  // failures.
+  TrackingSession session(test_config(/*lenient=*/true));
+  session.append_experiment(experiment("A", 1));
+  session.append_gap("missing.ptt", "cannot open for reading");
+  session.append_experiment(experiment("B", 2));
+  session.append_experiment(experiment("C", 3));
 
-  EXPECT_EQ(pipeline.experiment_count(), 4u);
-  EXPECT_EQ(pipeline.gap_count(), 1u);
-  TrackingResult result = pipeline.run();
+  EXPECT_EQ(session.experiment_count(), 4u);
+  EXPECT_EQ(session.gap_count(), 1u);
+  TrackingResult result = session.retrack();
   EXPECT_EQ(result.frames.size(), 3u);
   ASSERT_EQ(result.gaps.size(), 1u);
   EXPECT_EQ(result.gaps[0].slot, 1u);
@@ -163,12 +158,11 @@ TEST_F(PipelineFaultTest, PreDeclaredGapsCountAndReport) {
 TEST_F(PipelineFaultTest, StrictModeRejectsPreDeclaredGaps) {
   // Without lenient resilience a pre-declared gap must not silently shrink
   // the sequence.
-  TrackingPipeline pipeline;
-  pipeline.add_experiment(experiment("A", 1));
-  pipeline.add_gap("missing.ptt", "cannot open for reading");
-  pipeline.add_experiment(experiment("B", 2));
-  pipeline.set_config(test_config());
-  EXPECT_THROW(pipeline.run(), Error);
+  TrackingSession session(test_config());
+  session.append_experiment(experiment("A", 1));
+  session.append_gap("missing.ptt", "cannot open for reading");
+  session.append_experiment(experiment("B", 2));
+  EXPECT_THROW(session.retrack(), Error);
 }
 
 }  // namespace

@@ -58,11 +58,12 @@ inline double parse_double(const std::string& flag, const std::string& text) {
 
 /// Parse a non-negative integer count for `flag`. A leading sign is
 /// rejected outright: "-3" must be a usage error, not the 2^64-3 that
-/// std::stoul would happily produce. `min_value` enforces per-flag floors
-/// (e.g. --min-pts needs at least 1).
-inline std::size_t parse_count(const std::string& flag,
-                               const std::string& text,
-                               std::size_t min_value = 0) {
+/// std::stoul would happily produce. `min_value` and `max_value` enforce
+/// per-flag bounds (e.g. --min-pts needs at least 1).
+inline std::size_t parse_count(
+    const std::string& flag, const std::string& text,
+    std::size_t min_value = 0,
+    std::size_t max_value = std::numeric_limits<std::size_t>::max()) {
   unsigned long long value = 0;
   std::size_t used = 0;
   if (!text.empty() && text[0] != '-' && text[0] != '+') {
@@ -78,9 +79,9 @@ inline std::size_t parse_count(const std::string& flag,
   if (value < min_value)
     throw UsageError("invalid value for " + flag + ": '" + text +
                      "' (must be at least " + std::to_string(min_value) + ")");
-  if (value > std::numeric_limits<std::size_t>::max())
+  if (value > max_value)
     throw UsageError("invalid value for " + flag + ": '" + text +
-                     "' (too large)");
+                     "' (must be at most " + std::to_string(max_value) + ")");
   return static_cast<std::size_t>(value);
 }
 

@@ -40,6 +40,7 @@
 #include "cluster/scatter.hpp"
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/client.hpp"
@@ -48,8 +49,8 @@
 #include "trace/trace_io.hpp"
 #include "tracking/gnuplot.hpp"
 #include "tracking/html_report.hpp"
-#include "tracking/pipeline.hpp"
 #include "tracking/report.hpp"
+#include "tracking/session.hpp"
 
 using namespace perftrack;
 
@@ -164,21 +165,11 @@ cli::OptionTable option_table(Options& options) {
               o->max_errors = cli::parse_count("--max-errors", v);
             });
   table.add("--threads", "N",
-            "worker threads for clustering/tracking (default: hardware "
-            "concurrency; 1 = serial, same output)",
+            "worker threads for clustering/tracking, at most 256 (default: "
+            "hardware concurrency; 1 = serial, same output)",
             [o](const std::string& v) {
-              o->tracking.threads = cli::parse_count("--threads", v);
-            });
-  table.add("--align-engine", "ENGINE",
-            "pairwise alignment engine: auto | full | banded (auto; "
-            "byte-identical output for every choice)",
-            [o](const std::string& v) {
-              auto engine = align::parse_alignment_engine(v);
-              if (!engine)
-                throw cli::UsageError(
-                    "invalid value for --align-engine: '" + v +
-                    "' (expected auto, full or banded)");
-              o->tracking.alignment_engine = *engine;
+              o->tracking.threads = cli::parse_count(
+                  "--threads", v, 0, ThreadPool::kMaxThreads);
             });
   table.add("--profile", "FILE",
             "record pipeline telemetry, write a JSON run report",
@@ -250,12 +241,12 @@ ErrorBudget budget_of(const Options& options) {
 }
 
 /// Load one trace honouring the strict/lenient mode. Lenient failures are
-/// reported and recorded as a pipeline gap; strict failures propagate.
+/// reported and recorded as a sequence gap; strict failures propagate.
 bool load_experiment(const Options& options, const std::string& path,
-                     tracking::TrackingPipeline& pipeline,
+                     tracking::TrackingSession& session,
                      IngestReport& ingest) {
   if (!options.lenient) {
-    pipeline.add_experiment(
+    session.append_experiment(
         std::make_shared<const trace::Trace>(trace::load_trace(path)));
     return true;
   }
@@ -264,14 +255,14 @@ bool load_experiment(const Options& options, const std::string& path,
     auto loaded =
         std::make_shared<const trace::Trace>(trace::load_trace(path, diags));
     ingest.absorb(diags);
-    pipeline.add_experiment(std::move(loaded));
+    session.append_experiment(std::move(loaded));
     return true;
   } catch (const Error& error) {
     ingest.absorb(diags);
     ++ingest.failed_files;
     std::fprintf(stderr, "perftrack: skipping %s: %s\n", path.c_str(),
                  error.what());
-    pipeline.add_gap(path, error.what());
+    session.append_gap(path, error.what());
     return false;
   }
 }
@@ -288,12 +279,9 @@ tracking::SessionConfig session_config(const Options& options) {
   return config;
 }
 
-int run_tracking(const Options& options,
-                 tracking::TrackingPipeline& pipeline,
+int run_tracking(const Options& options, tracking::TrackingSession& session,
                  const IngestReport& ingest) {
-  pipeline.set_config(session_config(options));
-
-  tracking::TrackingResult result = pipeline.run();
+  tracking::TrackingResult result = session.retrack();
 
   std::cout << tracking::describe_tracking(result) << "\n";
   std::cout << "IPC per region:\n"
@@ -348,11 +336,11 @@ int cmd_track(const Options& options) {
     std::fprintf(stderr, "track needs at least two trace files\n");
     return kExitUsage;
   }
-  tracking::TrackingPipeline pipeline;
+  tracking::TrackingSession session(session_config(options));
   IngestReport ingest;
   for (const std::string& path : options.inputs)
-    load_experiment(options, path, pipeline, ingest);
-  return run_tracking(options, pipeline, ingest);
+    load_experiment(options, path, session, ingest);
+  return run_tracking(options, session, ingest);
 }
 
 int cmd_evolve(const Options& options) {
@@ -360,6 +348,7 @@ int cmd_evolve(const Options& options) {
     std::fprintf(stderr, "evolve needs exactly one trace file\n");
     return kExitUsage;
   }
+  tracking::TrackingSession session(session_config(options));
   IngestReport ingest;
   Diagnostics diags = options.lenient
                           ? Diagnostics::lenient(budget_of(options))
@@ -369,9 +358,8 @@ int cmd_evolve(const Options& options) {
   auto slices = trace::split_into_intervals(run, options.intervals);
   std::printf("split %s into %zu intervals\n", run.label().c_str(),
               slices.size());
-  tracking::TrackingPipeline pipeline;
-  for (auto& slice : slices) pipeline.add_experiment(std::move(slice));
-  return run_tracking(options, pipeline, ingest);
+  for (auto& slice : slices) session.append_experiment(std::move(slice));
+  return run_tracking(options, session, ingest);
 }
 
 int cmd_inspect(const Options& options) {

@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "align/nw.hpp"
 #include "cli.hpp"
 #include "common/error.hpp"
 #include "obs/report.hpp"
@@ -72,7 +71,6 @@ struct Options {
   double eps = 0.025;
   std::size_t min_pts = 5;
   double min_cluster_frac = 0.005;
-  align::AlignmentEngine align_engine = align::AlignmentEngine::kAuto;
   bool lenient = false;
   std::size_t max_errors = 100;
   std::size_t idle_ttl_sec = 0;
@@ -150,17 +148,6 @@ cli::OptionTable option_table(Options& options) {
                 throw cli::UsageError(
                     "invalid value for --min-cluster-frac: '" + v +
                     "' (must be in [0, 1))");
-            });
-  table.add("--align-engine", "ENGINE",
-            "pairwise alignment engine for every study: auto | full | "
-            "banded (auto; byte-identical output for every choice)",
-            [o](const std::string& v) {
-              auto engine = align::parse_alignment_engine(v);
-              if (!engine)
-                throw cli::UsageError(
-                    "invalid value for --align-engine: '" + v +
-                    "' (expected auto, full or banded)");
-              o->align_engine = *engine;
             });
   table.add_switch("--strict",
                    "abort ingestion on the first malformed record (default)",
@@ -246,7 +233,6 @@ serve::ServiceConfig service_config(const Options& options) {
   config.session.clustering.dbscan.min_pts = options.min_pts;
   config.session.clustering.min_cluster_time_fraction =
       options.min_cluster_frac;
-  config.session.tracking.alignment_engine = options.align_engine;
   config.session.resilience.lenient = options.lenient;
   config.max_errors = options.max_errors;
   config.idle_ttl_ns =
