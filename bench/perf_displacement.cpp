@@ -1,20 +1,22 @@
-// perf_displacement — the displacement evaluator's nearest-neighbour
-// engines: kd-tree vs CSR grid vs grid + threads.
+// perf_displacement — the displacement evaluator's production sweep
+// against its reference classification.
 //
-// After grid DBSCAN removed clustering from the critical path, the
-// cross-frame NN classification dominated end-to-end tracking. This
-// harness times the evaluator over every adjacent pair of the ten Table 2
-// case studies (the perf_session workload) with each engine and thread
-// count, and — the part CI gates on — proves the engines interchangeable:
-// every correlation matrix must match cell for cell, bitwise, and the
-// full track_frames output (links, relations, regions, renaming) must be
-// byte-identical for kd vs grid at 1 and N threads.
+// The cross-frame nearest-neighbour classification is the top tracking
+// stage. This harness times it over every adjacent pair of the ten Table 2
+// case studies (the perf_session workload) two ways: the reference (every
+// row classified by KdTree::nearest, no cluster short-circuit) and the
+// production sweep (short-circuit, then the lazily built box-pruned tree)
+// at 1 and 4 threads. The part CI gates on proves them interchangeable:
+// every correlation matrix must match the reference cell for cell,
+// bitwise, and the full track_frames output (links, relations, regions,
+// renaming) must be byte-identical at 1 and 4 threads.
 //
 // Gauges exported to BENCH_perf_opt.json:
 //   verdict_displacement_identity      1 iff every equivalence check held
-//   advisory_displacement_speedup      kd ms / grid ms (serial, tracked)
+//   advisory_displacement_speedup      reference ms / production ms (serial)
 //   advisory_displacement_speedup_ge10 the >= 10x bar (warn-only in CI)
-//   displacement_{kdtree,grid,grid_mt}_ms raw sweep times
+//   displacement_{reference,production,production_mt}_ms raw sweep times
+//   tracking_{1t,4t}_ms                track_frames over the ten studies
 
 #include <chrono>
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/studies.hpp"
+#include "testing/displacement_reference.hpp"
 #include "tracking/evaluator_displacement.hpp"
 #include "tracking/report.hpp"
 #include "tracking/tracker.hpp"
@@ -52,23 +55,21 @@ struct SweepOutcome {
   std::vector<tracking::DisplacementResult> results;
 };
 
-/// Classify every adjacent pair of every study with the given engine;
-/// clouds are prebuilt (the tracker caches them too), so the timing
-/// isolates the query sweep itself.
+/// Classify every adjacent pair of every study with `classify` on fresh
+/// clouds. The clock covers the classifications only, which includes the
+/// reference's kd-trees and the production sweep's lazy index builds.
+template <typename Classify>
 SweepOutcome sweep(const std::vector<StudyFrames>& studies,
-                   tracking::DisplacementIndex index, ThreadPool* pool) {
+                   Classify classify) {
   SweepOutcome out;
   for (const StudyFrames& study : studies) {
     std::vector<std::unique_ptr<tracking::FrameCloud>> clouds;
-    clouds.reserve(study.frames.size());
     for (const cluster::Frame& f : study.frames)
-      clouds.push_back(
-          std::make_unique<tracking::FrameCloud>(f, study.scale, index));
+      clouds.push_back(std::make_unique<tracking::FrameCloud>(f, study.scale));
     const Clock::time_point start = Clock::now();
     for (std::size_t p = 0; p + 1 < study.frames.size(); ++p)
-      out.results.push_back(tracking::evaluate_displacement(
-          study.frames[p], *clouds[p], study.frames[p + 1], *clouds[p + 1],
-          0.05, pool));
+      out.results.push_back(classify(study.frames[p], *clouds[p],
+                                     study.frames[p + 1], *clouds[p + 1]));
     out.ms += ms_since(start);
   }
   return out;
@@ -102,12 +103,12 @@ struct ResultDigest {
 int main() {
   bench::enable_telemetry();
   bench::print_title("perf_opt",
-                     "displacement NN engine: kd-tree vs grid vs "
-                     "grid + threads");
+                     "displacement sweep: reference kd-tree vs production "
+                     "vs production + threads");
   bench::print_paper(
       "not in the paper — engineering comparison of the displacement "
-      "evaluator's nearest-neighbour engines over the ten case studies "
-      "(byte-identical classifications required)");
+      "evaluator's production sweep against its reference over the ten "
+      "case studies (byte-identical classifications required)");
 
   std::vector<StudyFrames> studies;
   for (const sim::Study& study : sim::all_studies()) {
@@ -120,91 +121,91 @@ int main() {
     studies.push_back(std::move(s));
   }
 
-  // ---- Leg A: the classification sweep, per engine. --------------------
+  // ---- Leg A: the classification sweep, reference vs production. -------
   bench::print_section("evaluator sweep over all adjacent pairs");
   ThreadPool pool(4);
-  SweepOutcome kd, grid, grid_mt;
+  auto production_on = [](ThreadPool* pool) {
+    return [pool](const cluster::Frame& fa, const tracking::FrameCloud& ca,
+                  const cluster::Frame& fb, const tracking::FrameCloud& cb) {
+      return tracking::evaluate_displacement(fa, ca, fb, cb, 0.05, pool);
+    };
+  };
+  SweepOutcome reference, production, production_mt;
   {
-    PT_SPAN("displacement_kdtree_total");
-    kd = sweep(studies, tracking::DisplacementIndex::kKdTree, nullptr);
+    PT_SPAN("displacement_reference_total");
+    reference = sweep(studies, [](const cluster::Frame& fa,
+                                  const tracking::FrameCloud& ca,
+                                  const cluster::Frame& fb,
+                                  const tracking::FrameCloud& cb) {
+      return testing::reference_displacement(fa, ca, fb, cb);
+    });
   }
   {
-    PT_SPAN("displacement_grid_total");
-    grid = sweep(studies, tracking::DisplacementIndex::kGrid, nullptr);
+    PT_SPAN("displacement_production_total");
+    production = sweep(studies, production_on(nullptr));
   }
   {
-    PT_SPAN("displacement_grid_mt_total");
-    grid_mt = sweep(studies, tracking::DisplacementIndex::kGrid, &pool);
+    PT_SPAN("displacement_production_mt_total");
+    production_mt = sweep(studies, production_on(&pool));
   }
 
-  const bool sweeps_identical = same_results(kd.results, grid.results) &&
-                                same_results(kd.results, grid_mt.results);
-  const double speedup = kd.ms / grid.ms;
+  const bool sweeps_identical =
+      same_results(reference.results, production.results) &&
+      same_results(reference.results, production_mt.results);
+  const double speedup = reference.ms / production.ms;
 
-  std::printf("pairs classified  : %zu\n", kd.results.size());
-  std::printf("kd-tree engine    : %10.1f ms\n", kd.ms);
-  std::printf("grid engine       : %10.1f ms\n", grid.ms);
-  std::printf("grid + 4 threads  : %10.1f ms\n", grid_mt.ms);
-  std::printf("serial speedup    : %10.1fx (bar: >= 10x)\n", speedup);
-  std::printf("matrices identical: %s\n\n",
+  std::printf("pairs classified     : %zu\n", reference.results.size());
+  std::printf("reference (kd-tree)  : %10.1f ms\n", reference.ms);
+  std::printf("production           : %10.1f ms\n", production.ms);
+  std::printf("production + 4 thr.  : %10.1f ms\n", production_mt.ms);
+  std::printf("serial speedup       : %10.1fx (bar: >= 10x)\n", speedup);
+  std::printf("matrices identical   : %s\n\n",
               sweeps_identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
-  // ---- Leg B: full tracking identity, kd vs grid, 1 vs N threads. ------
+  // ---- Leg B: full tracking identity, 1 vs 4 threads. -------------------
   bench::print_section(
       "track_frames identity (links, relations, regions, renaming)");
-  Table table({"Study", "Frames", "kd ms", "grid ms", "grid 4t ms",
-               "Identical"});
+  Table table({"Study", "Frames", "1t ms", "4t ms", "Identical"});
   bool tracking_identical = true;
-  double kd_track_ms = 0.0, grid_track_ms = 0.0, grid_mt_track_ms = 0.0;
+  double serial_track_ms = 0.0, parallel_track_ms = 0.0;
   for (const StudyFrames& study : studies) {
     tracking::TrackingParams params;
     params.threads = 1;
-    params.displacement_index = tracking::DisplacementIndex::kKdTree;
     Clock::time_point start = Clock::now();
-    ResultDigest kd_digest(tracking::track_frames(study.frames, params));
-    const double kd_ms = ms_since(start);
-
-    params.displacement_index = tracking::DisplacementIndex::kGrid;
-    start = Clock::now();
-    ResultDigest grid_digest(tracking::track_frames(study.frames, params));
-    const double grid_ms = ms_since(start);
+    ResultDigest serial_digest(tracking::track_frames(study.frames, params));
+    const double serial_ms = ms_since(start);
 
     params.threads = 4;
     start = Clock::now();
-    ResultDigest grid_mt_digest(tracking::track_frames(study.frames, params));
-    const double grid_mt_ms = ms_since(start);
+    ResultDigest parallel_digest(tracking::track_frames(study.frames, params));
+    const double parallel_ms = ms_since(start);
 
-    const bool same =
-        kd_digest == grid_digest && kd_digest == grid_mt_digest;
+    const bool same = serial_digest == parallel_digest;
     tracking_identical = tracking_identical && same;
-    kd_track_ms += kd_ms;
-    grid_track_ms += grid_ms;
-    grid_mt_track_ms += grid_mt_ms;
+    serial_track_ms += serial_ms;
+    parallel_track_ms += parallel_ms;
     table.begin_row();
     table.cell(study.name);
     table.cell(study.frames.size());
-    table.cell(kd_ms, 1);
-    table.cell(grid_ms, 1);
-    table.cell(grid_mt_ms, 1);
+    table.cell(serial_ms, 1);
+    table.cell(parallel_ms, 1);
     table.cell(std::string(same ? "yes" : "NO"));
   }
   std::printf("%s\n", table.to_text().c_str());
-  std::printf("tracking aggregate: kd %.0f ms, grid %.0f ms (%.1fx), "
-              "grid 4t %.0f ms\n",
-              kd_track_ms, grid_track_ms, kd_track_ms / grid_track_ms,
-              grid_mt_track_ms);
-  std::printf("tracking byte-identical across engines and threads: %s\n\n",
+  std::printf("tracking aggregate: 1 thread %.0f ms, 4 threads %.0f ms\n",
+              serial_track_ms, parallel_track_ms);
+  std::printf("tracking byte-identical at 1 and 4 threads: %s\n\n",
               tracking_identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
   const bool identity = sweeps_identical && tracking_identical;
   PT_GAUGE("verdict_displacement_identity", identity ? 1.0 : 0.0);
   PT_GAUGE("advisory_displacement_speedup", speedup);
   PT_GAUGE("advisory_displacement_speedup_ge10", speedup >= 10.0 ? 1.0 : 0.0);
-  PT_GAUGE("displacement_kdtree_ms", kd.ms);
-  PT_GAUGE("displacement_grid_ms", grid.ms);
-  PT_GAUGE("displacement_grid_mt_ms", grid_mt.ms);
-  PT_GAUGE("tracking_kdtree_ms", kd_track_ms);
-  PT_GAUGE("tracking_grid_ms", grid_track_ms);
+  PT_GAUGE("displacement_reference_ms", reference.ms);
+  PT_GAUGE("displacement_production_ms", production.ms);
+  PT_GAUGE("displacement_production_mt_ms", production_mt.ms);
+  PT_GAUGE("tracking_1t_ms", serial_track_ms);
+  PT_GAUGE("tracking_4t_ms", parallel_track_ms);
   bench::write_telemetry("BENCH_perf_opt.json", "perf_opt");
 
   const bool ok = identity && speedup >= 10.0;

@@ -81,8 +81,7 @@ PairTracking track_pair(const cluster::Frame& frame_a,
                                              params.outlier_threshold, pool);
   else if (params.use_displacement)
     out.displacement = evaluate_displacement(frame_a, frame_b, scale,
-                                             params.outlier_threshold, pool,
-                                             params.displacement_index);
+                                             params.outlier_threshold, pool);
   else
     out.displacement = {CorrelationMatrix(n, m), CorrelationMatrix(m, n)};
 

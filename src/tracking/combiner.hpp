@@ -56,10 +56,6 @@ struct TrackingParams {
   /// 0 = hardware concurrency; 1 = serial. The tracked result is identical
   /// for every value — only scheduling changes (see docs/PERFORMANCE.md).
   std::size_t threads = 0;
-
-  /// Nearest-neighbour engine for the displacement evaluator; kAuto picks
-  /// the grid when applicable, with byte-identical output either way.
-  DisplacementIndex displacement_index = DisplacementIndex::kAuto;
 };
 
 /// Everything learnt about one consecutive frame pair.

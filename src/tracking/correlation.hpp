@@ -47,8 +47,8 @@ public:
   std::string to_text(const std::string& row_prefix,
                       const std::string& col_prefix) const;
 
-  /// Cell-exact equality — the displacement engine equivalence gate
-  /// compares kd-tree and grid classifications with it.
+  /// Cell-exact equality — the displacement identity gate compares the
+  /// production and reference classifications with it.
   friend bool operator==(const CorrelationMatrix&,
                          const CorrelationMatrix&) = default;
 

@@ -12,8 +12,7 @@
 namespace perftrack::tracking {
 
 FrameCloud::FrameCloud(const cluster::Frame& frame,
-                       const ScaleNormalization& scale,
-                       DisplacementIndex index) {
+                       const ScaleNormalization& scale) {
   PT_SPAN("frame_cloud");
   points_ = scale.apply_clustered(frame, cluster_of_);
   if (points_.empty()) return;  // all-noise frame: never queried
@@ -35,14 +34,15 @@ FrameCloud::FrameCloud(const cluster::Frame& frame,
       cluster_hi_[c * dims + d] = std::max(cluster_hi_[c * dims + d], p[d]);
     }
   }
+}
 
-  if (index != DisplacementIndex::kKdTree)
-    grid_ = geom::GridNn::build(points_);
-  if (index == DisplacementIndex::kGrid)
-    PT_REQUIRE(grid_ != nullptr,
-               "grid displacement index pinned but not applicable to this "
-               "cloud (needs 1-3 dimensions and a bounded cell table)");
-  if (!grid_) tree_ = std::make_unique<geom::KdTree>(points_);
+const geom::NnTree& FrameCloud::index() const {
+  std::call_once(index_once_, [this] {
+    PT_SPAN("nn_index_build");
+    index_ = std::make_unique<geom::NnTree>(points_);
+    PT_COUNTER("displacement_trees_built", 1.0);
+  });
+  return *index_;
 }
 
 namespace {
@@ -57,13 +57,13 @@ constexpr double kBoxSlack = 1e-9;
 
 /// Classify every point of `from` into the nearest cluster of `to`.
 ///
-/// Two phases. First, a cluster-level short-circuit (grid engine only,
-/// keeping the kd path the unmodified baseline): if one target cluster's
-/// farthest box-to-box distance is strictly below every other target
-/// cluster's closest, every row of the source cluster provably classifies
-/// to it — no per-point queries, and no cross-cluster distance ties to
-/// break, so the counts are byte-identical to the exact sweep. Rows of
-/// unresolved clusters fall through to the exact nearest-neighbour sweep.
+/// Two phases. First, a cluster-level short-circuit: if one target
+/// cluster's farthest box-to-box distance is strictly below every other
+/// target cluster's closest, every row of the source cluster provably
+/// classifies to it — no per-point queries, and no cross-cluster distance
+/// ties to break, so the counts are byte-identical to the exact sweep. Rows
+/// of unresolved clusters fall through to the exact nearest-neighbour
+/// sweep, which builds the target's index if no sweep has yet.
 ///
 /// The sweep accumulates per-chunk integer count matrices that are folded
 /// in chunk order; integer sums are exact, so the fold — and the final
@@ -79,54 +79,49 @@ CorrelationMatrix classify(const FrameCloud& from, std::size_t from_count,
   std::vector<std::uint64_t> total(from_count * to_count, 0);
   std::vector<std::uint32_t> residual;  // rows still needing exact NN
 
-  if (to.uses_grid()) {
-    const std::vector<double>& flo = from.cluster_lo();
-    const std::vector<double>& fhi = from.cluster_hi();
-    const std::vector<double>& tlo = to.cluster_lo();
-    const std::vector<double>& thi = to.cluster_hi();
-    for (std::size_t i = 0; i < from.cluster_count(); ++i) {
-      const std::vector<std::uint32_t>& rows = from.cluster_rows(i);
-      if (rows.empty()) continue;
-      // Farthest and closest squared box-to-box distance per target.
-      double best_max = std::numeric_limits<double>::infinity();
-      std::size_t best_j = 0;
-      for (std::size_t j = 0; j < to.cluster_count(); ++j) {
-        if (to.cluster_rows(j).empty()) continue;
-        double max_sq = 0.0;
-        for (std::size_t d = 0; d < dims; ++d) {
-          const double span = std::max(fhi[i * dims + d] - tlo[j * dims + d],
-                                       thi[j * dims + d] - flo[i * dims + d]);
-          max_sq += span * span;
-        }
-        if (max_sq < best_max) {
-          best_max = max_sq;
-          best_j = j;
-        }
+  const std::vector<double>& flo = from.cluster_lo();
+  const std::vector<double>& fhi = from.cluster_hi();
+  const std::vector<double>& tlo = to.cluster_lo();
+  const std::vector<double>& thi = to.cluster_hi();
+  for (std::size_t i = 0; i < from.cluster_count(); ++i) {
+    const std::vector<std::uint32_t>& rows = from.cluster_rows(i);
+    if (rows.empty()) continue;
+    // Farthest and closest squared box-to-box distance per target.
+    double best_max = std::numeric_limits<double>::infinity();
+    std::size_t best_j = 0;
+    for (std::size_t j = 0; j < to.cluster_count(); ++j) {
+      if (to.cluster_rows(j).empty()) continue;
+      double max_sq = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const double span = std::max(fhi[i * dims + d] - tlo[j * dims + d],
+                                     thi[j * dims + d] - flo[i * dims + d]);
+        max_sq += span * span;
       }
-      double others_min = std::numeric_limits<double>::infinity();
-      for (std::size_t j = 0; j < to.cluster_count(); ++j) {
-        if (j == best_j || to.cluster_rows(j).empty()) continue;
-        double min_sq = 0.0;
-        for (std::size_t d = 0; d < dims; ++d) {
-          const double gap =
-              std::max({0.0, tlo[j * dims + d] - fhi[i * dims + d],
-                        flo[i * dims + d] - thi[j * dims + d]});
-          min_sq += gap * gap;
-        }
-        others_min = std::min(others_min, min_sq);
+      if (max_sq < best_max) {
+        best_max = max_sq;
+        best_j = j;
       }
-      if (best_max * (1.0 + kBoxSlack) < others_min)
-        total[i * to_count + best_j] += rows.size();
-      else
-        residual.insert(residual.end(), rows.begin(), rows.end());
     }
-  } else {
-    residual.resize(from.points().size());
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      residual[i] = static_cast<std::uint32_t>(i);
+    double others_min = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < to.cluster_count(); ++j) {
+      if (j == best_j || to.cluster_rows(j).empty()) continue;
+      double min_sq = 0.0;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const double gap =
+            std::max({0.0, tlo[j * dims + d] - fhi[i * dims + d],
+                      flo[i * dims + d] - thi[j * dims + d]});
+        min_sq += gap * gap;
+      }
+      others_min = std::min(others_min, min_sq);
+    }
+    if (best_max * (1.0 + kBoxSlack) < others_min)
+      total[i * to_count + best_j] += rows.size();
+    else
+      residual.insert(residual.end(), rows.begin(), rows.end());
   }
 
   const std::size_t n = residual.size();
+  const geom::NnTree* index = n > 0 ? &to.index() : nullptr;
   const std::size_t workers = pool ? pool->thread_count() : 1;
   std::size_t chunks = 1;
   if (workers > 1 && n > 0)
@@ -142,20 +137,25 @@ CorrelationMatrix classify(const FrameCloud& from, std::size_t from_count,
     // each answer warm-starts the next query's search radius. The hint
     // never changes a result, so the per-chunk reset keeps any
     // decomposition exact.
-    std::size_t hint = geom::GridNn::kNoHint;
+    std::size_t hint = geom::NnTree::kNoHint;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t row = residual[i];
-      const std::size_t nearest = to.nearest(from.points()[row], hint);
+      const std::size_t nearest = index->nearest(from.points()[row], hint);
       hint = nearest;
       const auto from_id = static_cast<std::size_t>(from.cluster_of(row));
       const auto to_id = static_cast<std::size_t>(to.cluster_of(nearest));
       ++cnt[from_id * to_count + to_id];
     }
   };
-  if (chunks == 1)
-    sweep(0);
-  else
-    pool->parallel_for(0, chunks, sweep);
+  if (n > 0) {
+    // A leaf span of its own, so the sweep is told apart from the index
+    // build (nn_index_build) that precedes it.
+    PT_SPAN("displacement_sweep");
+    if (chunks == 1)
+      sweep(0);
+    else
+      pool->parallel_for(0, chunks, sweep);
+  }
 
   for (const auto& chunk : counts)
     for (std::size_t k = 0; k < total.size(); ++k) total[k] += chunk[k];
@@ -189,7 +189,11 @@ DisplacementResult evaluate_displacement(const cluster::Frame& frame_a,
   if (pool && pool->thread_count() > 1) {
     // Overlap the two directions; each inner sweep additionally chunks
     // across the pool. Either order of completion yields the same bits.
+    // The worker adopts this span path, so an index build it runs is
+    // recorded inside evaluator_displacement.
+    const std::vector<const char*> here = obs::current_span_path();
     auto a_to_b = pool->submit([&] {
+      obs::SpanContext ctx(here);
       return classify(cloud_a, frame_a.object_count(), cloud_b,
                       frame_b.object_count(), pool);
     });
@@ -228,10 +232,9 @@ DisplacementResult evaluate_displacement(const cluster::Frame& frame_a,
                                          const cluster::Frame& frame_b,
                                          const ScaleNormalization& scale,
                                          double outlier_threshold,
-                                         ThreadPool* pool,
-                                         DisplacementIndex index) {
-  FrameCloud cloud_a(frame_a, scale, index);
-  FrameCloud cloud_b(frame_b, scale, index);
+                                         ThreadPool* pool) {
+  FrameCloud cloud_a(frame_a, scale);
+  FrameCloud cloud_b(frame_b, scale);
   return evaluate_displacement(frame_a, cloud_a, frame_b, cloud_b,
                                outlier_threshold, pool);
 }

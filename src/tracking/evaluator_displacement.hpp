@@ -8,22 +8,21 @@
 // dominate when behaviour is stable; splits appear as one row distributing
 // over several columns.
 //
-// Engine: the nearest-neighbour sweep runs against a CSR uniform grid
-// (geom::GridNn, expanding cell-ring search) when the cloud is
-// low-dimensional, falling back to the kd-tree otherwise — the same
-// auto/kd/grid selection grid DBSCAN uses, and like there the two engines
-// are byte-identical (both break distance ties on the lowest point
-// index). The sweep is chunked over the caller's thread pool with a
+// Engine: each cloud's nearest-neighbour index is a box-pruned kd-tree
+// (geom::NnTree), built the first time a classification sweep has rows
+// to query against that cloud. Most rows never need one: a cluster-level
+// short-circuit resolves every row of a source cluster whose nearest target
+// cluster is provable from the clusters' bounding boxes alone. The sweep
+// over the remaining rows is chunked over the caller's thread pool with a
 // deterministic integer-count fold, so the matrices are bit-identical for
 // every thread count, including 1.
 
 #include <memory>
-#include <span>
+#include <mutex>
 #include <vector>
 
 #include "cluster/frame.hpp"
-#include "geom/grid_nn.hpp"
-#include "geom/kdtree.hpp"
+#include "geom/nn_tree.hpp"
 #include "tracking/correlation.hpp"
 #include "tracking/scale.hpp"
 
@@ -33,34 +32,21 @@ class ThreadPool;
 
 namespace perftrack::tracking {
 
-/// Nearest-neighbour engine selection for FrameCloud, mirroring
-/// cluster::DbscanIndex: kAuto builds the grid when it is applicable
-/// (1-3 dimensions, cell table within bounds) and otherwise falls back
-/// to the kd-tree; kGrid insists on the grid (throws when it cannot be
-/// built); kKdTree pins the old engine (the equivalence baseline).
-enum class DisplacementIndex { kAuto, kKdTree, kGrid };
-
-/// One frame's clustered points in the common scale-normalised space plus
-/// the nearest-neighbour index over them. An interior frame of a sequence
-/// is classified against by both of its adjacent pairs; caching the cloud
-/// here (the tracker owns one per frame) builds it once instead of twice.
-///
-/// v2 layout: normalisation and noise filtering are fused into one pass
-/// (ScaleNormalization::apply_clustered — no full-frame intermediate),
-/// and the grid engine re-groups the coordinates into cell-ordered
-/// per-dimension columns, so a classification sweep reads contiguous
-/// memory. Pinned in memory: the kd-tree fallback references `points_`.
+/// One frame's clustered points in the common scale-normalised space, the
+/// per-cluster geometry the short-circuit reads, and the nearest-neighbour
+/// index over the points. An interior frame of a sequence is classified
+/// against by both of its adjacent pairs; caching the cloud here (the
+/// session builds one per frame) builds it, and its index, once instead of
+/// twice. Pinned in memory: the index references `points_`.
 class FrameCloud {
 public:
-  FrameCloud(const cluster::Frame& frame, const ScaleNormalization& scale,
-             DisplacementIndex index = DisplacementIndex::kAuto);
+  FrameCloud(const cluster::Frame& frame, const ScaleNormalization& scale);
   FrameCloud(const FrameCloud&) = delete;
   FrameCloud& operator=(const FrameCloud&) = delete;
 
   const geom::PointSet& points() const { return points_; }
   bool empty() const { return points_.empty(); }
   cluster::ObjectId cluster_of(std::size_t i) const { return cluster_of_[i]; }
-  bool uses_grid() const { return grid_ != nullptr; }
 
   /// Per-cluster geometry, precomputed for the classification sweep's
   /// cluster-level short-circuit: the rows of each cluster, and the
@@ -73,26 +59,18 @@ public:
   const std::vector<double>& cluster_lo() const { return cluster_lo_; }
   const std::vector<double>& cluster_hi() const { return cluster_hi_; }
 
-  /// Index of the clustered row nearest to `query`, ties broken by the
-  /// lowest row index — identical for both engines. empty() must be false.
-  std::size_t nearest(std::span<const double> query) const {
-    return grid_ ? grid_->nearest(query) : tree_->nearest(query);
-  }
-
-  /// Warm-started variant: `hint` (a previous answer, or GridNn::kNoHint)
-  /// seeds the grid engine's search radius. Purely an accelerator — the
-  /// result is identical with or without it, on either engine.
-  std::size_t nearest(std::span<const double> query, std::size_t hint) const {
-    return grid_ ? grid_->nearest(query, hint) : tree_->nearest(query);
-  }
+  /// The nearest-neighbour index over points(), built on the first call.
+  /// Safe to call from several threads at once: exactly one builds it,
+  /// the others wait for that build.
+  const geom::NnTree& index() const;
 
 private:
   geom::PointSet points_;  ///< clustered (non-noise) rows only
   std::vector<cluster::ObjectId> cluster_of_;
   std::vector<std::vector<std::uint32_t>> cluster_rows_;
   std::vector<double> cluster_lo_, cluster_hi_;  ///< [cluster * dims + d]
-  std::unique_ptr<geom::GridNn> grid_;
-  std::unique_ptr<geom::KdTree> tree_;  ///< fallback / pinned engine
+  mutable std::once_flag index_once_;
+  mutable std::unique_ptr<geom::NnTree> index_;
 };
 
 struct DisplacementResult {
@@ -106,8 +84,7 @@ struct DisplacementResult {
 DisplacementResult evaluate_displacement(
     const cluster::Frame& frame_a, const cluster::Frame& frame_b,
     const ScaleNormalization& scale, double outlier_threshold = 0.05,
-    ThreadPool* pool = nullptr,
-    DisplacementIndex index = DisplacementIndex::kAuto);
+    ThreadPool* pool = nullptr);
 
 /// As above but over pre-built per-frame clouds (the tracker's cache); the
 /// clouds must have been built from these frames with the sequence scale.

@@ -326,7 +326,11 @@ void TrackingSession::cluster_new_slots() {
   }
 }
 
-TrackingResult TrackingSession::retrack() {
+TrackingResult TrackingSession::retrack() & { return retrack_slots(false); }
+
+TrackingResult TrackingSession::retrack() && { return retrack_slots(true); }
+
+TrackingResult TrackingSession::retrack_slots(bool move_frames) {
   PT_SPAN("session_retrack");
   PT_REQUIRE(slots_.size() >= 2, "tracking needs at least two experiments");
   PT_COUNTER("experiments", static_cast<double>(slots_.size()));
@@ -377,9 +381,16 @@ TrackingResult TrackingSession::retrack() {
     ThreadPool& pool = ThreadPool::shared(ThreadPool::resolve(params.threads));
     PT_GAUGE("threads", static_cast<double>(pool.thread_count()));
 
+    // From here on the live frames are read through `frames` only, so a
+    // session that is discarded after this call can give its frames up.
     std::vector<cluster::Frame> frames;
     frames.reserve(live.size());
-    for (std::size_t i : live) frames.push_back(*slots_[i].frame);
+    for (std::size_t i : live) {
+      if (move_frames)
+        frames.push_back(std::move(*slots_[i].frame));
+      else
+        frames.push_back(*slots_[i].frame);
+    }
 
     ScaleNormalization scale;
     {
@@ -432,7 +443,7 @@ TrackingResult TrackingSession::retrack() {
       for (std::size_t f = 0; f < live.size(); ++f) {
         Slot& slot = slots_[live[f]];
         if (slot.alignment != nullptr) continue;
-        const auto& sequences = slot.frame->task_sequences();
+        const auto& sequences = frames[f].task_sequences();
         const std::uint64_t fp = sequences_fingerprint(sequences);
         auto bucket = alignment_memo_.find(fp);
         if (bucket != alignment_memo_.end()) {
@@ -450,8 +461,7 @@ TrackingResult TrackingSession::retrack() {
         bool pending = false;
         for (std::size_t u = 0; u < to_align.size() && !pending; ++u)
           if (to_align[u].fp == fp &&
-              slots_[live[to_align[u].f]].frame->task_sequences() ==
-                  sequences) {
+              frames[to_align[u].f].task_sequences() == sequences) {
             duplicate.emplace_back(f, u);
             pending = true;
           }
@@ -464,15 +474,13 @@ TrackingResult TrackingSession::retrack() {
       pool.parallel_for(0, to_align.size() + live.size(), [&](std::size_t t) {
         obs::SpanContext ctx(here);
         if (t < to_align.size()) {
-          const Slot& slot = slots_[live[to_align[t].f]];
           built[t] = std::make_shared<FrameAlignment>(
-              *slot.frame, params.alignment_scores, params.alignment_engine,
-              &pool);
+              frames[to_align[t].f], params.alignment_scores,
+              params.alignment_engine, &pool);
         } else {
           const std::size_t f = t - to_align.size();
           if (params.use_displacement && needs_cloud[f])
-            clouds[f] = std::make_unique<FrameCloud>(
-                frames[f], scale, params.displacement_index);
+            clouds[f] = std::make_unique<FrameCloud>(frames[f], scale);
         }
       });
 
@@ -480,7 +488,7 @@ TrackingResult TrackingSession::retrack() {
         Slot& slot = slots_[live[to_align[u].f]];
         slot.alignment = built[u];
         alignment_memo_[to_align[u].fp].push_back(
-            {slot.frame->task_sequences(), built[u]});
+            {frames[to_align[u].f].task_sequences(), built[u]});
         ++stats_.alignments_computed;
       }
       for (const auto& [f, u] : duplicate) {

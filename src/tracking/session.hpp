@@ -116,7 +116,12 @@ public:
   /// Requires >= 2 slots and >= 2 surviving frames after gap handling;
   /// throws Error when the gap budget is exhausted. Bit-identical to a
   /// cold batch run over the same inputs.
-  TrackingResult retrack();
+  TrackingResult retrack() &;
+
+  /// The same retrack on a session that is discarded afterwards (as
+  /// track_frames does): the frames move into the result instead of being
+  /// copied, so the run does not hold them twice.
+  TrackingResult retrack() &&;
 
   const SessionStats& stats() const { return stats_; }
 
@@ -136,6 +141,7 @@ private:
   };
 
   void cluster_new_slots();
+  TrackingResult retrack_slots(bool move_frames);
 
   SessionConfig config_;
   std::vector<Slot> slots_;

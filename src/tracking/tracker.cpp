@@ -47,7 +47,7 @@ TrackingResult track_frames(std::vector<cluster::Frame> frames,
   config.tracking = params;
   TrackingSession session(std::move(config));
   for (cluster::Frame& frame : frames) session.append_frame(std::move(frame));
-  return session.retrack();
+  return std::move(session).retrack();
 }
 
 }  // namespace perftrack::tracking

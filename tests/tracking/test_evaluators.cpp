@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "sim/studies.hpp"
+#include "testing/displacement_reference.hpp"
 #include "testing/test_traces.hpp"
 #include "tracking/evaluator_callstack.hpp"
 #include "tracking/evaluator_displacement.hpp"
@@ -17,6 +18,7 @@ namespace {
 using perftrack::testing::MiniPhase;
 using perftrack::testing::MiniTraceSpec;
 using perftrack::testing::make_mini_trace;
+using perftrack::testing::reference_displacement;
 
 cluster::ClusteringParams clustering() {
   cluster::ClusteringParams params;
@@ -108,9 +110,9 @@ TEST(DisplacementEvaluator, OutlierThresholdDropsStragglers) {
 }
 
 TEST(DisplacementEvaluator, GridAndKdTreeEnginesAreByteIdentical) {
-  // The auto engine (grid over these 2-D clouds) must reproduce the
-  // kd-tree classification cell for cell, bitwise — this is the identity
-  // the tracker's byte-identical-labels guarantee rests on.
+  // The production sweep (cluster short-circuit, then the box-pruned tree)
+  // must reproduce the reference kd-tree classification cell for cell,
+  // bitwise: the tracker's byte-identical-labels guarantee rests on it.
   MiniTraceSpec a;
   a.label = "A";
   a.tasks = 16;
@@ -128,46 +130,33 @@ TEST(DisplacementEvaluator, GridAndKdTreeEnginesAreByteIdentical) {
   std::vector<cluster::Frame> frames{fa, fb};
   ScaleNormalization scale = ScaleNormalization::fit(frames, {true, false});
 
-  FrameCloud kd_a(fa, scale, DisplacementIndex::kKdTree);
-  FrameCloud kd_b(fb, scale, DisplacementIndex::kKdTree);
-  FrameCloud grid_a(fa, scale, DisplacementIndex::kGrid);
-  FrameCloud grid_b(fb, scale, DisplacementIndex::kGrid);
-  EXPECT_FALSE(kd_a.uses_grid());
-  EXPECT_TRUE(grid_a.uses_grid());
-
-  DisplacementResult kd = evaluate_displacement(fa, kd_a, fb, kd_b, 0.05);
-  DisplacementResult grid =
-      evaluate_displacement(fa, grid_a, fb, grid_b, 0.05);
-  EXPECT_TRUE(kd.a_to_b == grid.a_to_b);
-  EXPECT_TRUE(kd.b_to_a == grid.b_to_a);
-
-  // Auto selection picks the grid on a 2-D cloud.
-  FrameCloud auto_a(fa, scale);
-  EXPECT_TRUE(auto_a.uses_grid());
+  FrameCloud cloud_a(fa, scale), cloud_b(fb, scale);
+  DisplacementResult reference =
+      reference_displacement(fa, cloud_a, fb, cloud_b, 0.05);
+  DisplacementResult production =
+      evaluate_displacement(fa, cloud_a, fb, cloud_b, 0.05);
+  EXPECT_TRUE(reference.a_to_b == production.a_to_b);
+  EXPECT_TRUE(reference.b_to_a == production.b_to_a);
 }
 
 TEST(DisplacementEvaluator, ClusterShortCircuitMatchesKdTreeOnDistantFrames) {
   // CGPOP's adjacent frames are nearly disjoint in the normalised space —
-  // the regime where the grid engine's cluster-level short-circuit fires
-  // for most source clusters. Its verdicts must reproduce the exact
-  // kd-tree sweep bitwise on every pair.
+  // the regime where the cluster-level short-circuit fires for most
+  // source clusters. Its verdicts must reproduce the reference kd-tree
+  // classification bitwise on every pair.
   std::vector<cluster::Frame> frames = sim::study_cgpop().frames();
   ScaleNormalization scale = ScaleNormalization::fit(
       frames, tracking_log_scale(TrackingParams{}, frames[0]));
-  std::vector<std::unique_ptr<FrameCloud>> kd, grid;
-  for (const cluster::Frame& f : frames) {
-    kd.push_back(
-        std::make_unique<FrameCloud>(f, scale, DisplacementIndex::kKdTree));
-    grid.push_back(
-        std::make_unique<FrameCloud>(f, scale, DisplacementIndex::kGrid));
-  }
+  std::vector<std::unique_ptr<FrameCloud>> clouds;
+  for (const cluster::Frame& f : frames)
+    clouds.push_back(std::make_unique<FrameCloud>(f, scale));
   for (std::size_t p = 0; p + 1 < frames.size(); ++p) {
-    DisplacementResult a = evaluate_displacement(frames[p], *kd[p],
-                                                 frames[p + 1], *kd[p + 1]);
-    DisplacementResult b = evaluate_displacement(frames[p], *grid[p],
-                                                 frames[p + 1], *grid[p + 1]);
-    EXPECT_TRUE(a.a_to_b == b.a_to_b) << "pair " << p;
-    EXPECT_TRUE(a.b_to_a == b.b_to_a) << "pair " << p;
+    DisplacementResult reference = reference_displacement(
+        frames[p], *clouds[p], frames[p + 1], *clouds[p + 1]);
+    DisplacementResult production = evaluate_displacement(
+        frames[p], *clouds[p], frames[p + 1], *clouds[p + 1]);
+    EXPECT_TRUE(reference.a_to_b == production.a_to_b) << "pair " << p;
+    EXPECT_TRUE(reference.b_to_a == production.b_to_a) << "pair " << p;
   }
 }
 

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/thread_pool.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/studies.hpp"
+#include "testing/displacement_reference.hpp"
 #include "testing/test_traces.hpp"
 #include "tracking/evaluator_displacement.hpp"
 #include "tracking/report.hpp"
@@ -54,31 +58,93 @@ TEST(ParallelTrackingTest, StudiesMatchSerialForAnyThreadCount) {
 
 TEST(ParallelDisplacementTest, PooledClassificationMatchesSerialBitwise) {
   // The chunked sweep folds per-chunk integer counts in chunk order, so
-  // any pool size must reproduce the serial matrices bit for bit — for
-  // both engines, on every adjacent pair of a real study.
+  // any pool size must reproduce the reference kd-tree classification bit
+  // for bit, on every adjacent pair of a real study.
   std::vector<cluster::Frame> frames = sim::study_nas_bt().frames();
   ScaleNormalization scale = ScaleNormalization::fit(
       frames, tracking_log_scale(TrackingParams{}, frames[0]));
-  for (DisplacementIndex index :
-       {DisplacementIndex::kKdTree, DisplacementIndex::kGrid}) {
-    std::vector<std::unique_ptr<FrameCloud>> clouds;
-    for (const cluster::Frame& f : frames)
-      clouds.push_back(std::make_unique<FrameCloud>(f, scale, index));
-    for (std::size_t p = 0; p + 1 < frames.size(); ++p) {
-      DisplacementResult serial = evaluate_displacement(
-          frames[p], *clouds[p], frames[p + 1], *clouds[p + 1], 0.05);
-      for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        ThreadPool pool(threads);
-        DisplacementResult pooled =
-            evaluate_displacement(frames[p], *clouds[p], frames[p + 1],
-                                  *clouds[p + 1], 0.05, &pool);
-        EXPECT_TRUE(serial.a_to_b == pooled.a_to_b)
-            << "pair " << p << " threads " << threads;
-        EXPECT_TRUE(serial.b_to_a == pooled.b_to_a)
-            << "pair " << p << " threads " << threads;
-      }
+  std::vector<std::unique_ptr<FrameCloud>> clouds;
+  for (const cluster::Frame& f : frames)
+    clouds.push_back(std::make_unique<FrameCloud>(f, scale));
+  for (std::size_t p = 0; p + 1 < frames.size(); ++p) {
+    DisplacementResult reference = testing::reference_displacement(
+        frames[p], *clouds[p], frames[p + 1], *clouds[p + 1], 0.05);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      ThreadPool pool(threads);
+      DisplacementResult pooled =
+          evaluate_displacement(frames[p], *clouds[p], frames[p + 1],
+                                *clouds[p + 1], 0.05, &pool);
+      EXPECT_TRUE(reference.a_to_b == pooled.a_to_b)
+          << "pair " << p << " threads " << threads;
+      EXPECT_TRUE(reference.b_to_a == pooled.b_to_a)
+          << "pair " << p << " threads " << threads;
     }
   }
+}
+
+TEST(ParallelDisplacementTest, SharedInteriorCloudBuildsItsIndexOnce) {
+  // An interior cloud is the target of one direction in each of its two
+  // adjacent pairs, and a retrack runs the pairs concurrently, so both can
+  // ask for its lazily built index at once. Exactly one may build it, and
+  // the matrices must not depend on which one did.
+  // CGPOP's second frame is the target of rows in both of its pairs.
+  std::vector<cluster::Frame> frames = sim::study_cgpop().frames();
+  ScaleNormalization scale = ScaleNormalization::fit(
+      frames, tracking_log_scale(TrackingParams{}, frames[0]));
+  using Clouds = std::vector<std::unique_ptr<FrameCloud>>;
+  auto fresh_clouds = [&] {
+    Clouds clouds;
+    for (std::size_t f = 0; f < 3; ++f)
+      clouds.push_back(std::make_unique<FrameCloud>(frames[f], scale));
+    return clouds;
+  };
+  auto pair = [&](const Clouds& clouds, std::size_t p, ThreadPool* pool) {
+    return evaluate_displacement(frames[p], *clouds[p], frames[p + 1],
+                                 *clouds[p + 1], 0.05, pool);
+  };
+  auto builds = [](const std::function<void()>& run) {
+    obs::reset();
+    run();
+    const obs::RunReport report = obs::collect();
+    auto it = report.counters.find("displacement_trees_built");
+    return it == report.counters.end() ? 0.0 : it->second;
+  };
+  obs::set_enabled(true);
+
+  // Each pair alone builds the interior cloud's index; the two together,
+  // run serially, share it.
+  const double first_alone = builds([&] { pair(fresh_clouds(), 0, nullptr); });
+  const double second_alone =
+      builds([&] { pair(fresh_clouds(), 1, nullptr); });
+  std::vector<DisplacementResult> serial(2);
+  const double together = builds([&] {
+    Clouds clouds = fresh_clouds();
+    serial[0] = pair(clouds, 0, nullptr);
+    serial[1] = pair(clouds, 1, nullptr);
+  });
+  ASSERT_EQ(together, first_alone + second_alone - 1.0)
+      << "the interior cloud is not queried by both pairs";
+
+  ThreadPool pool(4);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<DisplacementResult> concurrent(2);
+    const double built = builds([&] {
+      Clouds clouds = fresh_clouds();
+      pool.parallel_for(0, 2, [&](std::size_t p) {
+        concurrent[p] = pair(clouds, p, &pool);
+      });
+    });
+    EXPECT_EQ(built, together) << "round " << round;
+    for (std::size_t p = 0; p < 2; ++p) {
+      EXPECT_TRUE(serial[p].a_to_b == concurrent[p].a_to_b)
+          << "round " << round << " pair " << p;
+      EXPECT_TRUE(serial[p].b_to_a == concurrent[p].b_to_a)
+          << "round " << round << " pair " << p;
+    }
+  }
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 std::shared_ptr<const trace::Trace> experiment(const std::string& label,
