@@ -83,34 +83,4 @@ double weighted_mean(std::span<const double> values,
   return den == 0.0 ? 0.0 : num / den;
 }
 
-double relative_change(double a, double b) {
-  if (a == 0.0) return 0.0;
-  return (b - a) / a;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PT_REQUIRE(bins > 0, "histogram needs at least one bin");
-  PT_REQUIRE(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) {
-  double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin + 1) /
-                   static_cast<double>(counts_.size());
-}
-
 }  // namespace perftrack

@@ -43,25 +43,4 @@ double sum_of(std::span<const double> values);
 double weighted_mean(std::span<const double> values,
                      std::span<const double> weights);
 
-/// Relative change (b - a) / a as a fraction; 0 when a == 0.
-double relative_change(double a, double b);
-
-/// Fixed-width histogram over [lo, hi] with `bins` buckets; out-of-range
-/// values are clamped to the first/last bucket.
-class Histogram {
-public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_[bin]; }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
-private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace perftrack

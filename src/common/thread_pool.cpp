@@ -103,8 +103,13 @@ ThreadPool& ThreadPool::shared(std::size_t threads) {
 }
 
 std::size_t ThreadPool::default_thread_count() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<std::size_t>(n);
+  // hardware_concurrency() asks the kernel on every call, and every read
+  // of a trace on the default pool asks for this count.
+  static const std::size_t count = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? std::size_t{1} : static_cast<std::size_t>(n);
+  }();
+  return count;
 }
 
 }  // namespace perftrack

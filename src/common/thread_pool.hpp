@@ -82,7 +82,8 @@ public:
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// std::thread::hardware_concurrency(), or 1 when unknown.
+  /// std::thread::hardware_concurrency(), or 1 when unknown; read once
+  /// per process.
   static std::size_t default_thread_count();
 
   /// Resolve a user-facing thread setting: 0 = auto (hardware concurrency).

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/protocol.hpp"
 #include "trace/trace_io.hpp"
@@ -122,6 +123,8 @@ void ensure_session(StudyState& study) {
   if (study.session != nullptr) return;
   PT_SPAN("serve_rebuild_session");
   auto session = std::make_unique<tracking::TrackingSession>(study.config);
+  ThreadPool& pool =
+      ThreadPool::shared(ThreadPool::resolve(study.config.tracking.threads));
   for (const AppendEntry& entry : study.log) {
     switch (entry.kind) {
       case AppendEntry::Kind::Gap:
@@ -133,7 +136,7 @@ void ensure_session(StudyState& study) {
                                 : Diagnostics::strict();
         diags.set_file(entry.label);
         session->append_experiment(std::make_shared<const trace::Trace>(
-            trace::read_trace(std::string_view(entry.detail), diags)));
+            trace::read_trace(std::string_view(entry.detail), diags, pool)));
         break;
       }
       case AppendEntry::Kind::Path: {
@@ -142,7 +145,7 @@ void ensure_session(StudyState& study) {
                                 : Diagnostics::strict();
         try {
           session->append_experiment(std::make_shared<const trace::Trace>(
-              trace::load_trace(entry.label, diags)));
+              trace::load_trace(entry.label, diags, pool)));
         } catch (const Error& error) {
           // The original append succeeded, but the file is gone or broken
           // now. In lenient mode the slot degrades to a gap (same as a

@@ -6,6 +6,7 @@
 #include <shared_mutex>
 
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace_io.hpp"
@@ -568,18 +569,20 @@ std::string TrackingService::do_append_experiment(const Request& request) {
       lenient ? Diagnostics::lenient(ErrorBudget{config_.max_errors})
               : Diagnostics::strict();
 
+  ThreadPool& pool =
+      ThreadPool::shared(ThreadPool::resolve(study->config.tracking.threads));
   std::shared_ptr<const trace::Trace> trace;
   std::string failure;
   try {
     if (!path.empty()) {
       trace = std::make_shared<const trace::Trace>(
-          trace::load_trace(path, diags));
+          trace::load_trace(path, diags, pool));
       if (label.empty()) label = path;
     } else {
       if (label.empty()) label = "<inline>";
       diags.set_file(label);
       trace = std::make_shared<const trace::Trace>(
-          trace::read_trace(std::string_view(inline_text), diags));
+          trace::read_trace(std::string_view(inline_text), diags, pool));
     }
   } catch (const Error& error) {
     // Strict mode propagates (typed parse-failure / io-failure response,

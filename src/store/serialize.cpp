@@ -33,26 +33,6 @@ void BinWriter::str(std::string_view s) {
   out_.append(s.data(), s.size());
 }
 
-void BinWriter::u32_vec(const std::vector<std::uint32_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (std::uint32_t x : v) u32(x);
-}
-
-void BinWriter::i32_vec(const std::vector<std::int32_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (std::int32_t x : v) i32(x);
-}
-
-void BinWriter::f64_vec(const std::vector<double>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (double x : v) f64(x);
-}
-
-void BinWriter::bool_vec(const std::vector<bool>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (bool x : v) u8(x ? 1 : 0);
-}
-
 const char* BinReader::need(std::size_t n) {
   if (bytes_.size() - pos_ < n)
     throw ParseError("frame store entry truncated: need " + std::to_string(n) +
@@ -103,34 +83,6 @@ std::string BinReader::str() {
   std::size_t n = length(1);
   const char* p = need(n);
   return std::string(p, n);
-}
-
-std::vector<std::uint32_t> BinReader::u32_vec() {
-  std::size_t n = length(4);
-  std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = u32();
-  return v;
-}
-
-std::vector<std::int32_t> BinReader::i32_vec() {
-  std::size_t n = length(4);
-  std::vector<std::int32_t> v(n);
-  for (auto& x : v) x = i32();
-  return v;
-}
-
-std::vector<double> BinReader::f64_vec() {
-  std::size_t n = length(8);
-  std::vector<double> v(n);
-  for (auto& x : v) x = f64();
-  return v;
-}
-
-std::vector<bool> BinReader::bool_vec() {
-  std::size_t n = length(1);
-  std::vector<bool> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = u8() != 0;
-  return v;
 }
 
 }  // namespace perftrack::store

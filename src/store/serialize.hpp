@@ -3,8 +3,8 @@
 //
 // A deliberately tiny, dependency-free encoding layer: little-endian
 // fixed-width integers, IEEE-754 doubles copied byte-for-byte (so a
-// save/load round trip is bit-exact), and length-prefixed strings and
-// vectors. BinReader is the adversarial half: every read is bounds-checked
+// save/load round trip is bit-exact), and length-prefixed strings.
+// BinReader is the adversarial half: every read is bounds-checked
 // and every length prefix is validated against the bytes actually left, so
 // a truncated or corrupted journal record surfaces as ParseError — never
 // as out-of-bounds access or a multi-gigabyte allocation (fuzzed by
@@ -34,11 +34,6 @@ public:
   void f64(double v);
   void str(std::string_view s);
 
-  void u32_vec(const std::vector<std::uint32_t>& v);
-  void i32_vec(const std::vector<std::int32_t>& v);
-  void f64_vec(const std::vector<double>& v);
-  void bool_vec(const std::vector<bool>& v);
-
   const std::string& bytes() const { return out_; }
   std::string take() { return std::move(out_); }
 
@@ -56,11 +51,6 @@ public:
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64();
   std::string str();
-
-  std::vector<std::uint32_t> u32_vec();
-  std::vector<std::int32_t> i32_vec();
-  std::vector<double> f64_vec();
-  std::vector<bool> bool_vec();
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }

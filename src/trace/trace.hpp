@@ -62,6 +62,10 @@ public:
   /// Append a burst. Bursts of one task must be added in time order.
   void add_burst(Burst burst);
 
+  /// Make room for `bursts` bursts in all, so the adds that follow do not
+  /// reallocate.
+  void reserve(std::size_t bursts) { bursts_.reserve(bursts); }
+
   std::span<const Burst> bursts() const { return bursts_; }
   std::size_t burst_count() const { return bursts_.size(); }
 

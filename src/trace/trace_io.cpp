@@ -1,13 +1,20 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -19,16 +26,6 @@ namespace perftrack::trace {
 namespace {
 
 constexpr std::string_view kMagic = "#PTT 1";
-
-std::optional<double> parse_double(std::string_view text) {
-  // std::from_chars for double is available in GCC 11+.
-  double value = 0.0;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(),
-                                   value);
-  if (ec != std::errc{} || ptr != text.data() + text.size())
-    return std::nullopt;
-  return value;
-}
 
 std::optional<std::uint64_t> parse_uint(std::string_view text) {
   std::uint64_t value = 0;
@@ -152,65 +149,162 @@ void save_trace(const std::string& path, const Trace& trace) {
 
 namespace {
 
-/// Lines of a stream, read with std::getline into one reused buffer.
-class StreamLines {
-public:
-  explicit StreamLines(std::istream& in) : in_(in) {}
+/// Largest task count, task id or callstack line a record may give.
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
-  bool next(std::string_view& line) {
-    if (!std::getline(in_, buffer_)) return false;
-    line = buffer_;
-    return true;
-  }
-  bool failed() const { return in_.bad(); }
-
-private:
-  std::istream& in_;
-  std::string buffer_;
+/// One burst record as read, before its callstack id is remapped.
+struct RawBurst {
+  std::uint32_t task;
+  double begin, duration;
+  std::uint64_t callstack;
+  std::array<double, kCounterCount> counters;
+  int line_no;
 };
 
-/// Lines of text already in memory, split exactly as std::getline splits
-/// a stream: at each '\n', with an unterminated last line kept.
-class TextLines {
-public:
-  explicit TextLines(std::string_view text) : rest_(text) {}
+/// Why the fields of a burst record did not parse.
+enum class BurstFields { Ok, WrongCount, BadNumber };
 
-  bool next(std::string_view& line) {
-    if (rest_.empty()) return false;
-    const std::size_t end = rest_.find('\n');
-    line = rest_.substr(0, end);
-    rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+/// Parse `text`, what follows "burst " in a trimmed burst record, into
+/// `out` (all but its line number). The fields are those fields_of splits:
+/// runs of non-space bytes, the last one trimmed of any whitespace. Each
+/// must be a number std::from_chars consumes whole. A number holds no
+/// whitespace, so from_chars runs over the rest of the record and stops at
+/// the field's end exactly when the field is a number: no split is needed
+/// first. The chunk scans and the general path both read burst records
+/// through this one function.
+BurstFields parse_burst_fields(std::string_view text, RawBurst& out) {
+  const char* p = text.data();
+  const char* const end = text.data() + text.size();
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  bool numbers = true;
+  // Parse the next field into `value`; false when the record has no more.
+  auto next_field = [&](auto& value, bool last) {
+    while (p != end && *p == ' ') ++p;
+    if (p == end) return false;
+    if (last) p = std::find_if_not(p, end, space);
+    const auto [stop, ec] = std::from_chars(p, end, value);
+    const bool whole =
+        ec == std::errc{} && (last ? std::all_of(stop, end, space)
+                                   : stop == end || *stop == ' ');
+    if (whole) {
+      p = stop;
+    } else {
+      numbers = false;
+      p = last ? end : std::find(p, end, ' ');
+    }
+    return true;
+  };
+  std::uint64_t task = 0;
+  bool complete = next_field(task, false) && next_field(out.begin, false) &&
+                  next_field(out.duration, false) &&
+                  next_field(out.callstack, false);
+  for (std::size_t i = 0; complete && i < kCounterCount; ++i)
+    complete = next_field(out.counters[i], i + 1 == kCounterCount);
+  if (!complete) return BurstFields::WrongCount;
+  if (!numbers || task > kMaxU32) return BurstFields::BadNumber;
+  out.task = static_cast<std::uint32_t>(task);
+  return BurstFields::Ok;
+}
+
+/// A line a chunk scan left for the serial replay.
+struct DeferredLine {
+  int line_no;  ///< within its chunk, from 1
+  std::string_view text;
+};
+
+/// What the scan of one chunk hands the serial replay.
+struct ChunkScan {
+  std::vector<RawBurst> bursts;        ///< burst records that parsed
+  std::vector<DeferredLine> deferred;  ///< every other record
+  int lines = 0;
+};
+
+/// Bytes per burst record the scan reserves for: write_trace's records run
+/// from about 60 to 200 bytes.
+constexpr std::size_t kBurstRecordBytes = 96;
+
+/// Scan one chunk. Lines are split exactly as std::getline splits a
+/// stream: at each '\n', with an unterminated last line kept. Blank and
+/// '#' lines are skipped uncounted, as the general path skips them; a burst
+/// record that parses is read here, and every other line is deferred. The
+/// text's first line is kept raw for the magic check.
+ChunkScan scan_chunk(std::string_view chunk, bool first) {
+  ChunkScan scan;
+  scan.bursts.reserve(chunk.size() / kBurstRecordBytes);
+  RawBurst burst{};
+  while (!chunk.empty()) {
+    const std::size_t end = chunk.find('\n');
+    const std::string_view line = chunk.substr(0, end);
+    chunk.remove_prefix(end == std::string_view::npos ? chunk.size()
                                                       : end + 1);
-    return true;
+    ++scan.lines;
+    if (first && scan.lines == 1) {
+      scan.deferred.push_back({1, line});
+      continue;
+    }
+    const std::string_view text = trim(line);
+    if (text.empty() || text.front() == '#') continue;
+    if (starts_with(text, "burst ") &&
+        parse_burst_fields(text.substr(6), burst) == BurstFields::Ok) {
+      burst.line_no = scan.lines;
+      scan.bursts.push_back(burst);
+    } else {
+      scan.deferred.push_back({scan.lines, text});
+    }
   }
-  bool failed() const { return false; }
+  return scan;
+}
 
-private:
-  std::string_view rest_;
-};
+/// Visit every burst record in line order: the chunks' bursts, merged by
+/// line number with those the general path read.
+template <typename Visit>
+void for_each_raw_burst(const std::vector<ChunkScan>& scans,
+                        const std::vector<RawBurst>& general, Visit&& visit) {
+  auto next = general.begin();
+  int offset = 0;
+  for (const ChunkScan& scan : scans) {
+    for (RawBurst burst : scan.bursts) {
+      burst.line_no += offset;
+      for (; next != general.end() && next->line_no < burst.line_no; ++next)
+        visit(*next);
+      visit(burst);
+    }
+    offset += scan.lines;
+  }
+  for (; next != general.end(); ++next) visit(*next);
+}
 
-/// The parser core behind every entry point: one pass over `lines`.
-template <typename Lines>
-Trace parse_trace(Lines& lines, Diagnostics& diags) {
-  PT_SPAN("read_trace");
-  std::string_view line;
+/// The parser behind every entry point: the chunk scans on `pool`, then the
+/// serial replay of the deferred lines through the general path, then
+/// assembly.
+Trace parse_text(std::string_view buffer, Diagnostics& diags,
+                 ThreadPool& pool) {
+  if (buffer.empty()) {
+    diags.error(0, "bad-magic", "missing #PTT 1 magic header");
+    throw ParseError("empty trace stream");
+  }
+  const std::vector<std::size_t> starts =
+      chunk_starts(buffer, pool.thread_count());
+  std::vector<ChunkScan> scans(starts.size() + 1);
+  pool.parallel_for(0, scans.size(), [&](std::size_t c) {
+    const std::size_t begin = c == 0 ? 0 : starts[c - 1];
+    const std::size_t end = c == starts.size() ? buffer.size() : starts[c];
+    scans[c] = scan_chunk(buffer.substr(begin, end - begin), c == 0);
+  });
+  PT_COUNTER("trace_parse_chunks", static_cast<double>(scans.size()));
+
   int line_no = 0;
-
   std::optional<std::string> app;
   std::optional<std::string> label;
   std::optional<std::uint32_t> tasks;
   std::map<std::string, std::string> attrs;
   // Callstack ids in the file are remapped through interning on load.
   std::map<std::uint64_t, SourceLocation> file_callstacks;
-
-  struct RawBurst {
-    std::uint32_t task;
-    double begin, duration;
-    std::uint64_t callstack;
-    std::array<double, kCounterCount> counters;
-    int line_no;
-  };
-  std::vector<RawBurst> raw_bursts;
+  // Burst records the general path read: a lenient read's first line at
+  // most, since the chunk scans take every other burst record that parses.
+  std::vector<RawBurst> general_bursts;
 
   // In lenient mode a record that fails to parse is reported and skipped;
   // in strict mode diags.error() throws at the first report.
@@ -240,7 +334,7 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
         return;
       }
       auto value = parse_uint(trim(text.substr(6)));
-      if (!value) {
+      if (!value || *value == 0 || *value > kMaxU32) {
         diags.error(line_no, "bad-number",
                     "bad task count: " + std::string(trim(text.substr(6))));
         return;
@@ -268,7 +362,7 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
       }
       auto id = parse_uint(f[0]);
       auto loc_line = parse_uint(f[1]);
-      if (!id || !loc_line) {
+      if (!id || !loc_line || *loc_line > kMaxU32) {
         diags.error(line_no, "bad-callstack",
                     "bad number in callstack record");
         return;
@@ -286,60 +380,59 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
       loc.function = std::string(f[3]);
       file_callstacks[*id] = std::move(loc);
     } else if (starts_with(text, "burst ")) {
-      auto f = fields_of(text.substr(6), 4 + kCounterCount);
-      if (f.size() != 4 + kCounterCount) {
-        diags.error(line_no, "bad-burst",
-                    "bad burst record (expected " +
-                        std::to_string(4 + kCounterCount) + " fields)");
-        return;
-      }
       RawBurst rb;
+      switch (parse_burst_fields(text.substr(6), rb)) {
+        case BurstFields::WrongCount:
+          diags.error(line_no, "bad-burst",
+                      "bad burst record (expected " +
+                          std::to_string(4 + kCounterCount) + " fields)");
+          return;
+        case BurstFields::BadNumber:
+          diags.error(line_no, "bad-burst", "bad number in burst record");
+          return;
+        case BurstFields::Ok:
+          break;
+      }
       rb.line_no = line_no;
-      auto task = parse_uint(f[0]);
-      auto begin = parse_double(f[1]);
-      auto duration = parse_double(f[2]);
-      auto callstack = parse_uint(f[3]);
-      bool ok = task && begin && duration && callstack;
-      for (std::size_t i = 0; i < kCounterCount; ++i) {
-        auto value = parse_double(f[4 + i]);
-        if (!value) ok = false;
-        else rb.counters[i] = *value;
-      }
-      if (!ok) {
-        diags.error(line_no, "bad-burst", "bad number in burst record");
-        return;
-      }
-      rb.task = static_cast<std::uint32_t>(*task);
-      rb.begin = *begin;
-      rb.duration = *duration;
-      rb.callstack = *callstack;
-      raw_bursts.push_back(rb);
+      general_bursts.push_back(rb);
     } else {
       diags.error(line_no, "unknown-record",
                   "unknown record: " + std::string(text));
     }
   };
 
-  if (!lines.next(line)) {
-    diags.error(0, "bad-magic", "missing #PTT 1 magic header");
-    throw ParseError("empty trace stream");
-  }
-  ++line_no;
-  if (trim(line) != kMagic) {
-    diags.error(line_no, "bad-magic", "missing #PTT 1 magic header");
-    // Lenient: the first line may still be a payload record; feed it to the
-    // dispatcher unless it reads as a comment.
-    std::string_view text = trim(line);
-    if (!text.empty() && text.front() != '#') handle_record(text);
+  // The replay, in line order. Before each deferred line, the chunk's
+  // bursts above it are counted as the general path would have counted
+  // them, so a strict error or an exhausted budget throws with the
+  // same record_count().
+  int offset = 0;
+  for (const ChunkScan& scan : scans) {
+    std::size_t counted = 0;
+    auto count_bursts_before = [&](int local_line) {
+      for (; counted < scan.bursts.size() &&
+             scan.bursts[counted].line_no < local_line;
+           ++counted)
+        diags.count_record();
+    };
+    for (const DeferredLine& deferred : scan.deferred) {
+      count_bursts_before(deferred.line_no);
+      line_no = offset + deferred.line_no;
+      if (line_no != 1) {
+        handle_record(deferred.text);
+      } else if (trim(deferred.text) != kMagic) {
+        diags.error(line_no, "bad-magic", "missing #PTT 1 magic header");
+        // Lenient: the first line may still be a payload record; feed it
+        // to the dispatcher unless it reads as a comment.
+        const std::string_view first = trim(deferred.text);
+        if (!first.empty() && first.front() != '#') handle_record(first);
+      }
+    }
+    count_bursts_before(std::numeric_limits<int>::max());
+    offset += scan.lines;
   }
 
-  while (lines.next(line)) {
-    ++line_no;
-    std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    handle_record(text);
-  }
-  if (lines.failed()) throw io_error("trace read failed", diags.file());
+  std::size_t burst_count = general_bursts.size();
+  for (const ChunkScan& scan : scans) burst_count += scan.bursts.size();
 
   if (!app) {
     diags.report(diags.is_lenient() ? Severity::Warning : Severity::Error, 0,
@@ -349,9 +442,10 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
   if (!tasks) {
     // Repairable when bursts tell us how many tasks there are.
     std::uint32_t max_task = 0;
-    for (const RawBurst& rb : raw_bursts)
+    for_each_raw_burst(scans, general_bursts, [&](const RawBurst& rb) {
       max_task = std::max(max_task, rb.task);
-    if (raw_bursts.empty()) {
+    });
+    if (burst_count == 0) {
       diags.report(diags.is_lenient() ? Severity::Warning : Severity::Error,
                    0, "missing-tasks", "trace missing 'tasks' record");
       throw ParseError("trace unusable: no 'tasks' record and no bursts to "
@@ -368,18 +462,24 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
   if (label) trace.set_label(*label);
   for (const auto& [key, value] : attrs) trace.set_attribute(key, value);
 
-  std::map<std::uint64_t, CallstackId> id_map;
-  id_map[0] = kUnknownCallstack;
+  // File callstack id -> interned id, sorted by file id. Id 0 maps to the
+  // unknown location unless the file redeclares it.
+  std::vector<std::pair<std::uint64_t, CallstackId>> id_map;
+  id_map.reserve(file_callstacks.size() + 1);
+  if (!file_callstacks.contains(0)) id_map.emplace_back(0, kUnknownCallstack);
   for (const auto& [file_id, loc] : file_callstacks)
-    id_map[file_id] = trace.callstacks().intern(loc);
+    id_map.emplace_back(file_id, trace.callstacks().intern(loc));
 
-  for (const RawBurst& rb : raw_bursts) {
-    auto it = id_map.find(rb.callstack);
-    if (it == id_map.end()) {
+  trace.reserve(burst_count);
+  for_each_raw_burst(scans, general_bursts, [&](const RawBurst& rb) {
+    const auto it = std::lower_bound(
+        id_map.begin(), id_map.end(), rb.callstack,
+        [](const auto& entry, std::uint64_t id) { return entry.first < id; });
+    if (it == id_map.end() || it->first != rb.callstack) {
       diags.error(rb.line_no, "dangling-callstack",
                   "burst references undeclared callstack id " +
                       std::to_string(rb.callstack));
-      continue;
+      return;
     }
     Burst b;
     b.task = rb.task;
@@ -394,22 +494,60 @@ Trace parse_trace(Lines& lines, Diagnostics& diags) {
       // Out-of-range task, negative duration or per-task time disorder.
       diags.error(rb.line_no, "bad-burst", error.what());
     }
-  }
+  });
   diags.finish();
   trace.validate();
   return trace;
 }
 
-}  // namespace
-
-Trace read_trace(std::istream& in, Diagnostics& diags) {
-  StreamLines lines(in);
-  return parse_trace(lines, diags);
+/// Everything left in `in`, in one buffer: one read when `size_hint` is
+/// the input's size, doubling reads otherwise. Throws IoError when the
+/// stream fails.
+std::string read_all(std::istream& in, const std::string& file,
+                     std::size_t size_hint) {
+  constexpr std::size_t kFirstRead = 64 * 1024;
+  std::string text;
+  std::size_t size = 0;
+  do {
+    // One byte past the hint, so the read that finds the end needs no
+    // growth.
+    text.resize(std::max({2 * size, size_hint + 1, kFirstRead}));
+    in.read(text.data() + size,
+            static_cast<std::streamsize>(text.size() - size));
+    size += static_cast<std::size_t>(in.gcount());
+  } while (in);
+  if (in.bad()) throw io_error("trace read failed", file);
+  text.resize(size);
+  return text;
 }
 
-Trace read_trace(std::string_view text, Diagnostics& diags) {
-  TextLines lines(text);
-  return parse_trace(lines, diags);
+}  // namespace
+
+std::vector<std::size_t> chunk_starts(std::string_view text,
+                                      std::size_t threads) {
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(threads, text.size() / kMinChunkBytes));
+  std::vector<std::size_t> starts;
+  std::size_t from = 0;
+  for (std::size_t i = 1; i < chunks; ++i) {
+    const std::size_t end =
+        text.find('\n', std::max(from, i * text.size() / chunks));
+    if (end == std::string_view::npos || end + 1 == text.size()) break;
+    from = end + 1;
+    starts.push_back(from);
+  }
+  return starts;
+}
+
+Trace read_trace(std::istream& in, Diagnostics& diags, ThreadPool& pool) {
+  PT_SPAN("read_trace");
+  const std::string text = read_all(in, diags.file(), 0);
+  return parse_text(text, diags, pool);
+}
+
+Trace read_trace(std::string_view text, Diagnostics& diags, ThreadPool& pool) {
+  PT_SPAN("read_trace");
+  return parse_text(text, diags, pool);
 }
 
 Trace read_trace(std::istream& in) {
@@ -417,14 +555,24 @@ Trace read_trace(std::istream& in) {
   return read_trace(in, diags);
 }
 
-Trace load_trace(const std::string& path, Diagnostics& diags) {
+Trace load_trace(const std::string& path, Diagnostics& diags,
+                 ThreadPool& pool) {
   PT_SPAN("load_trace");
   PT_FAILPOINT("load_trace");
   diags.set_file(path);
-  errno = 0;
-  std::ifstream in(path);
-  if (!in) throw io_error("cannot open for reading", path);
-  Trace trace = read_trace(in, diags);
+  Trace trace = [&] {
+    // Opening and reading the file are part of the parse's span, so
+    // load_trace keeps no self time of note.
+    PT_SPAN("read_trace");
+    errno = 0;
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw io_error("cannot open for reading", path);
+    std::error_code no_size;
+    const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+    const std::string text =
+        read_all(in, path, no_size ? 0 : static_cast<std::size_t>(size));
+    return parse_text(text, diags, pool);
+  }();
   PT_COUNTER("traces_loaded", 1.0);
   PT_COUNTER("bursts_loaded", static_cast<double>(trace.burst_count()));
   return trace;

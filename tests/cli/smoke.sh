@@ -142,6 +142,13 @@ rc=0
 test "$rc" -eq 3
 grep -q "parse error" strict.err
 
+echo "== a task count of 0 is a parse error (exit 3), not a crash =="
+printf '#PTT 1\napp zero\ntasks 0\nburst 0 0 0.5 0 1 1 0 0 0\n' > zero_tasks.ptt
+rc=0
+"$TOOLS_DIR/perftrack" inspect zero_tasks.ptt 2> zero_tasks.err || rc=$?
+test "$rc" -eq 3
+grep -q "bad task count: 0" zero_tasks.err
+
 echo "== missing input uses the io exit code =="
 rc=0
 "$TOOLS_DIR/perftrack" track nonexistent.ptt hydroc_sample.ptt \

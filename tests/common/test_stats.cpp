@@ -128,32 +128,6 @@ TEST(WeightedMean, RejectsLengthMismatch) {
   EXPECT_THROW(weighted_mean(v, w), PreconditionError);
 }
 
-TEST(RelativeChange, Basics) {
-  EXPECT_DOUBLE_EQ(relative_change(100.0, 110.0), 0.10);
-  EXPECT_DOUBLE_EQ(relative_change(100.0, 80.0), -0.20);
-  EXPECT_DOUBLE_EQ(relative_change(0.0, 5.0), 0.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(-3.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-}
-
 // Property: variance computed by RunningStats matches the two-pass formula
 // across random inputs.
 class RunningStatsProperty : public ::testing::TestWithParam<std::uint64_t> {};

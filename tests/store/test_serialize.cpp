@@ -59,30 +59,11 @@ TEST(SerializeTest, DoublesAreBitExact) {
   EXPECT_EQ(std::memcmp(&back, &nan, sizeof nan), 0);
 }
 
-TEST(SerializeTest, VectorsRoundTrip) {
-  BinWriter w;
-  w.u32_vec({1, 2, 3});
-  w.i32_vec({-1, 0, 7});
-  w.f64_vec({0.5, -2.25});
-  w.bool_vec({true, false, true, true});
-  w.u32_vec({});
-  std::string bytes = w.take();
-
-  BinReader r(bytes);
-  EXPECT_EQ(r.u32_vec(), (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(r.i32_vec(), (std::vector<std::int32_t>{-1, 0, 7}));
-  EXPECT_EQ(r.f64_vec(), (std::vector<double>{0.5, -2.25}));
-  EXPECT_EQ(r.bool_vec(), (std::vector<bool>{true, false, true, true}));
-  EXPECT_EQ(r.u32_vec(), std::vector<std::uint32_t>{});
-  EXPECT_TRUE(r.done());
-}
-
 TEST(SerializeTest, TruncationIsParseErrorEverywhere) {
   BinWriter w;
   w.u32(7);
   w.f64(1.5);
   w.str("abcdef");
-  w.u32_vec({1, 2, 3, 4});
   std::string bytes = w.take();
 
   // Every proper prefix must fail cleanly, never read out of bounds.
@@ -93,7 +74,6 @@ TEST(SerializeTest, TruncationIsParseErrorEverywhere) {
           r.u32();
           r.f64();
           r.str();
-          r.u32_vec();
         },
         ParseError)
         << "prefix length " << cut;
@@ -107,10 +87,7 @@ TEST(SerializeTest, ImpossibleLengthPrefixRejectedBeforeAllocation) {
   w.u32(0xffffffffu);
   std::string bytes = w.take();
   BinReader r(bytes);
-  EXPECT_THROW(r.f64_vec(), ParseError);
-
-  BinReader r2(bytes);
-  EXPECT_THROW(r2.length(8), ParseError);
+  EXPECT_THROW(r.length(8), ParseError);
 }
 
 TEST(SerializeTest, Fnv1a64MatchesReferenceAndBasisSeparatesStreams) {

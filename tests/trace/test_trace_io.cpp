@@ -378,5 +378,102 @@ TEST(TraceIoTest, BurstRecordMatchesStreamOnRandomBitPatterns) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Values a 32-bit field cannot hold, and a task count of 0, are parse
+// errors: they were once truncated, or reached the Trace constructor's
+// precondition.
+
+/// Strict and lenient outcomes of `text`: the strict error and the lenient
+/// diagnostics, plus the lenient trace when it loads.
+struct LimitOutcome {
+  std::string strict_error;
+  std::string lenient_diagnostics;
+  std::optional<Trace> lenient_trace;
+};
+
+LimitOutcome parse_both(const std::string& text) {
+  LimitOutcome out;
+  Diagnostics strict;
+  try {
+    read_trace(std::string_view(text), strict);
+  } catch (const ParseError& error) {
+    out.strict_error = error.what();
+  }
+  Diagnostics lenient = Diagnostics::lenient();
+  try {
+    out.lenient_trace.emplace(read_trace(std::string_view(text), lenient));
+  } catch (const ParseError&) {
+  }
+  out.lenient_diagnostics = lenient.to_string();
+  return out;
+}
+
+TEST(TraceIoLimits, ZeroTaskCountIsABadNumber) {
+  const LimitOutcome out = parse_both(
+      "#PTT 1\napp a\ntasks 0\nburst 2 0 0.5 0 1 1 0 0 0\n");
+  EXPECT_EQ(out.strict_error, "line 3: bad task count: 0");
+  // Lenient mode infers the count from the bursts, as for a missing record.
+  ASSERT_TRUE(out.lenient_trace.has_value());
+  EXPECT_EQ(out.lenient_trace->num_tasks(), 3u);
+  EXPECT_EQ(out.lenient_diagnostics,
+            "error: 3: [bad-number] bad task count: 0\n"
+            "warning: [missing-tasks] trace missing 'tasks' record "
+            "(inferred 3 from bursts)\n");
+}
+
+TEST(TraceIoLimits, TaskCountAbove32BitsIsABadNumber) {
+  const LimitOutcome out = parse_both(
+      "#PTT 1\napp a\ntasks 4294967297\nburst 0 0 0.5 0 1 1 0 0 0\n");
+  EXPECT_EQ(out.strict_error, "line 3: bad task count: 4294967297");
+  ASSERT_TRUE(out.lenient_trace.has_value());
+  EXPECT_EQ(out.lenient_trace->num_tasks(), 1u);
+  EXPECT_EQ(out.lenient_diagnostics,
+            "error: 3: [bad-number] bad task count: 4294967297\n"
+            "warning: [missing-tasks] trace missing 'tasks' record "
+            "(inferred 1 from bursts)\n");
+}
+
+TEST(TraceIoLimits, TaskIdAbove32BitsIsABadBurst) {
+  for (const char* task : {"4294967296", "4294967297"}) {
+    SCOPED_TRACE(task);
+    const LimitOutcome out = parse_both(
+        std::string("#PTT 1\napp a\ntasks 2\nburst 1 0 0.5 0 1 1 0 0 0\n"
+                    "burst ") +
+        task + " 1 0.5 0 1 1 0 0 0\n");
+    EXPECT_EQ(out.strict_error, "line 5: bad number in burst record");
+    ASSERT_TRUE(out.lenient_trace.has_value());
+    EXPECT_EQ(out.lenient_trace->burst_count(), 1u);
+    EXPECT_EQ(out.lenient_diagnostics,
+              "error: 5: [bad-burst] bad number in burst record\n");
+  }
+}
+
+TEST(TraceIoLimits, CallstackLineAbove32BitsIsABadCallstack) {
+  const LimitOutcome out = parse_both(
+      "#PTT 1\napp a\ntasks 1\ncallstack 1 4294967296 x.c f\n"
+      "burst 0 0 0.5 0 1 1 0 0 0\n");
+  EXPECT_EQ(out.strict_error, "line 4: bad number in callstack record");
+  ASSERT_TRUE(out.lenient_trace.has_value());
+  EXPECT_EQ(out.lenient_trace->callstacks().size(), 1u);
+  EXPECT_EQ(out.lenient_diagnostics,
+            "error: 4: [bad-callstack] bad number in callstack record\n");
+}
+
+TEST(TraceIoLimits, UnreadableInputIsAnIoError) {
+  // A directory opens but cannot be read: an I/O failure, not a text
+  // without its magic line.
+  Diagnostics diags = Diagnostics::lenient();
+  EXPECT_THROW(load_trace(::testing::TempDir(), diags), IoError);
+  EXPECT_TRUE(diags.empty());
+}
+
+TEST(TraceIoLimits, LargestCallstackLineStillLoads) {
+  std::istringstream in(
+      "#PTT 1\napp a\ntasks 1\ncallstack 1 4294967295 x.c f\n"
+      "burst 0 0 0.5 1 1 1 0 0 0\n");
+  const Trace t = read_trace(in);
+  EXPECT_EQ(t.callstacks().resolve(1).line, 4294967295u);
+}
+
 }  // namespace
 }  // namespace perftrack::trace

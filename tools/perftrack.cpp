@@ -240,20 +240,27 @@ ErrorBudget budget_of(const Options& options) {
   return budget;
 }
 
+/// The pool --threads selects; a trace's chunks are read on it too, so
+/// --threads 1 reads inline.
+ThreadPool& pool_of(const Options& options) {
+  return ThreadPool::shared(ThreadPool::resolve(options.tracking.threads));
+}
+
 /// Load one trace honouring the strict/lenient mode. Lenient failures are
 /// reported and recorded as a sequence gap; strict failures propagate.
 bool load_experiment(const Options& options, const std::string& path,
                      tracking::TrackingSession& session,
                      IngestReport& ingest) {
   if (!options.lenient) {
-    session.append_experiment(
-        std::make_shared<const trace::Trace>(trace::load_trace(path)));
+    Diagnostics diags;
+    session.append_experiment(std::make_shared<const trace::Trace>(
+        trace::load_trace(path, diags, pool_of(options))));
     return true;
   }
   Diagnostics diags = Diagnostics::lenient(budget_of(options));
   try {
-    auto loaded =
-        std::make_shared<const trace::Trace>(trace::load_trace(path, diags));
+    auto loaded = std::make_shared<const trace::Trace>(
+        trace::load_trace(path, diags, pool_of(options)));
     ingest.absorb(diags);
     session.append_experiment(std::move(loaded));
     return true;
@@ -353,7 +360,8 @@ int cmd_evolve(const Options& options) {
   Diagnostics diags = options.lenient
                           ? Diagnostics::lenient(budget_of(options))
                           : Diagnostics::strict();
-  trace::Trace run = trace::load_trace(options.inputs[0], diags);
+  trace::Trace run =
+      trace::load_trace(options.inputs[0], diags, pool_of(options));
   if (options.lenient) ingest.absorb(diags);
   auto slices = trace::split_into_intervals(run, options.intervals);
   std::printf("split %s into %zu intervals\n", run.label().c_str(),
@@ -371,7 +379,8 @@ int cmd_inspect(const Options& options) {
   Diagnostics diags = options.lenient
                           ? Diagnostics::lenient(budget_of(options))
                           : Diagnostics::strict();
-  trace::Trace t = trace::load_trace(options.inputs[0], diags);
+  trace::Trace t =
+      trace::load_trace(options.inputs[0], diags, pool_of(options));
   if (options.lenient) ingest.absorb(diags);
   t.validate();
   std::printf("application %s, label %s, %u tasks, %zu bursts, %.3fs "
