@@ -7,7 +7,8 @@
 // the ten Table 2 case studies — the banded Needleman–Wunsch must return
 // the same alignment (traceback and tie-breaking included) as the full
 // dynamic program, the pooled star-align must be byte-identical to the
-// serial one, and the whole track_frames output must not move — and then
+// serial one, and the whole track_frames output must not move with the
+// thread count — and then
 // times the engines at the sequence lengths real traces produce (the
 // simulator's ladders are short; production traces run thousands of
 // iterations, so a scaled leg reports the regime the band targets).
@@ -64,7 +65,7 @@ SweepOutcome sweep(
   out.msas.reserve(workloads.size());
   const Clock::time_point start = Clock::now();
   for (const auto& sequences : workloads)
-    out.msas.push_back(align::star_align(sequences, {}, engine, pool));
+    out.msas.push_back(align::star_align(sequences, {}, pool, engine));
   out.ms = ms_since(start);
   return out;
 }
@@ -151,53 +152,41 @@ int main() {
   std::printf("alignments identical: %s\n\n",
               study_identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
-  // ---- Leg B: full tracking identity across engines and threads. -------
-  // Covers the evaluator_sequence path too: its pivot-scored DP runs under
-  // the same engine knob inside every track_pair.
-  bench::print_section(
-      "track_frames identity (full vs banded, 1 vs 4 threads)");
-  Table table({"Study", "Frames", "Full ms", "Banded ms", "Banded 4t ms",
-               "Identical"});
+  // ---- Leg B: full tracking identity across threads. -------------------
+  // Covers the evaluator_sequence path too: its pivot-scored DP runs inside
+  // every track_pair, with the engine the align module picks.
+  bench::print_section("track_frames identity (1 vs 4 threads)");
+  Table table({"Study", "Frames", "1t ms", "4t ms", "Identical"});
   bool tracking_identical = true;
-  double full_track_ms = 0.0, banded_track_ms = 0.0, banded_mt_track_ms = 0.0;
+  double serial_track_ms = 0.0, pooled_track_ms = 0.0;
   for (const sim::Study& study : sim::all_studies()) {
     std::vector<cluster::Frame> frames = study.frames();
     tracking::TrackingParams params;
     params.threads = 1;
-    params.alignment_engine = align::AlignmentEngine::kFull;
     Clock::time_point start = Clock::now();
-    ResultDigest full_digest(tracking::track_frames(frames, params));
-    const double full_ms = ms_since(start);
-
-    params.alignment_engine = align::AlignmentEngine::kBanded;
-    start = Clock::now();
-    ResultDigest banded_digest(tracking::track_frames(frames, params));
-    const double banded_ms = ms_since(start);
+    ResultDigest serial_digest(tracking::track_frames(frames, params));
+    const double serial_ms = ms_since(start);
 
     params.threads = 4;
     start = Clock::now();
-    ResultDigest banded_mt_digest(tracking::track_frames(frames, params));
-    const double banded_mt_ms = ms_since(start);
+    ResultDigest pooled_digest(tracking::track_frames(frames, params));
+    const double pooled_ms = ms_since(start);
 
-    const bool same =
-        full_digest == banded_digest && full_digest == banded_mt_digest;
+    const bool same = serial_digest == pooled_digest;
     tracking_identical = tracking_identical && same;
-    full_track_ms += full_ms;
-    banded_track_ms += banded_ms;
-    banded_mt_track_ms += banded_mt_ms;
+    serial_track_ms += serial_ms;
+    pooled_track_ms += pooled_ms;
     table.begin_row();
     table.cell(study.name);
-    table.cell(study.frames().size());
-    table.cell(full_ms, 1);
-    table.cell(banded_ms, 1);
-    table.cell(banded_mt_ms, 1);
+    table.cell(frames.size());
+    table.cell(serial_ms, 1);
+    table.cell(pooled_ms, 1);
     table.cell(std::string(same ? "yes" : "NO"));
   }
   std::printf("%s\n", table.to_text().c_str());
-  std::printf("tracking aggregate: full %.0f ms, banded %.0f ms, "
-              "banded 4t %.0f ms\n",
-              full_track_ms, banded_track_ms, banded_mt_track_ms);
-  std::printf("tracking byte-identical across engines and threads: %s\n\n",
+  std::printf("tracking aggregate: 1t %.0f ms, 4t %.0f ms\n", serial_track_ms,
+              pooled_track_ms);
+  std::printf("tracking byte-identical across threads: %s\n\n",
               tracking_identical ? "yes" : "NO — EQUIVALENCE BROKEN");
 
   // ---- Leg C: production-length sequences (where the band pays off). ---

@@ -1,9 +1,11 @@
 // Microbenchmark — DBSCAN and frame building at study-sized point counts,
-// plus the kd-tree-vs-grid engine comparison behind docs/PERFORMANCE.md.
+// plus the comparison behind docs/PERFORMANCE.md: production dbscan()
+// (the grid engine on every study frame) against the reference BFS over a
+// kd-tree in tests/testing/dbscan_reference.hpp.
 //
-// Run with no arguments to get the engine comparison over the ten case
-// studies (written to BENCH_clustering.json) followed by the
-// google-benchmark microbenchmarks; benchmark flags pass through, so
+// Run with no arguments to get the comparison over the ten case studies
+// (written to BENCH_clustering.json) followed by the google-benchmark
+// microbenchmarks; benchmark flags pass through, so
 // --benchmark_list_tests=true runs the comparison alone (as CI does).
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include "obs/telemetry.hpp"
 #include "sim/apps/apps.hpp"
 #include "sim/studies.hpp"
+#include "testing/dbscan_reference.hpp"
 
 using namespace perftrack;
 
@@ -47,11 +50,10 @@ geom::PointSet wrf_points(std::uint32_t tasks,
 
 void BM_DbscanKdTree(benchmark::State& state) {
   cluster::ClusteringParams params = sim::default_clustering();
-  params.dbscan.index = cluster::DbscanIndex::kKdTree;
   geom::PointSet normalized =
       wrf_points(static_cast<std::uint32_t>(state.range(0)), params);
   for (auto _ : state) {
-    auto result = cluster::dbscan(normalized, params.dbscan);
+    auto result = testing::reference_dbscan(normalized, params.dbscan);
     benchmark::DoNotOptimize(result.cluster_count);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -65,7 +67,6 @@ BENCHMARK(BM_DbscanKdTree)
 
 void BM_DbscanGrid(benchmark::State& state) {
   cluster::ClusteringParams params = sim::default_clustering();
-  params.dbscan.index = cluster::DbscanIndex::kGrid;
   geom::PointSet normalized =
       wrf_points(static_cast<std::uint32_t>(state.range(0)), params);
   for (auto _ : state) {
@@ -105,13 +106,16 @@ void BM_SimulateWrf(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateWrf)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 
-/// One dbscan pass over every frame of every study with the given engine;
-/// returns the wall time in milliseconds. The labels of both engines are
-/// compared as a safety net — a mismatch poisons the comparison.
-double cluster_all_studies(cluster::DbscanIndex index,
+using DbscanEngine = cluster::DbscanResult (*)(const geom::PointSet&,
+                                               const cluster::DbscanParams&);
+
+/// One projection + DBSCAN pass over every frame of every study with the
+/// given engine; returns the wall time in milliseconds. The labels of both
+/// engines are compared as a safety net — a mismatch poisons the
+/// comparison.
+double cluster_all_studies(DbscanEngine engine,
                            std::vector<cluster::DbscanResult>* results) {
-  cluster::ClusteringParams params = sim::default_clustering();
-  params.dbscan.index = index;
+  const cluster::ClusteringParams params = sim::default_clustering();
   const auto start = std::chrono::steady_clock::now();
   for (const sim::Study& study : sim::all_studies()) {
     for (const auto& trace : study.traces) {
@@ -120,7 +124,7 @@ double cluster_all_studies(cluster::DbscanIndex index,
       cluster::Transform transform =
           cluster::Transform::fit(proj.points, params.log_scale);
       geom::PointSet normalized = transform.apply(proj.points);
-      results->push_back(cluster::dbscan(normalized, params.dbscan));
+      results->push_back(engine(normalized, params.dbscan));
     }
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -133,20 +137,21 @@ double cluster_all_studies(cluster::DbscanIndex index,
 void run_engine_comparison() {
   bench::enable_telemetry();
   bench::print_title("perf_clustering",
-                     "DBSCAN spatial index: kd-tree vs uniform grid");
+                     "DBSCAN: reference kd-tree BFS vs production grid");
   bench::print_paper(
-      "not in the paper — engineering comparison of the two dbscan "
-      "engines over the ten case studies (identical labels required)");
+      "not in the paper — engineering comparison of production dbscan() "
+      "with the reference BFS over the ten case studies (identical labels "
+      "required)");
 
   std::vector<cluster::DbscanResult> kd, grid;
   double kd_ms, grid_ms;
   {
     PT_SPAN("dbscan_kdtree_total");
-    kd_ms = cluster_all_studies(cluster::DbscanIndex::kKdTree, &kd);
+    kd_ms = cluster_all_studies(testing::reference_dbscan, &kd);
   }
   {
     PT_SPAN("dbscan_grid_total");
-    grid_ms = cluster_all_studies(cluster::DbscanIndex::kGrid, &grid);
+    grid_ms = cluster_all_studies(cluster::dbscan, &grid);
   }
 
   std::size_t mismatches = 0;
@@ -154,8 +159,8 @@ void run_engine_comparison() {
     if (kd[i].labels != grid[i].labels) ++mismatches;
 
   std::printf("frames clustered : %zu\n", kd.size());
-  std::printf("kd-tree engine   : %10.1f ms\n", kd_ms);
-  std::printf("grid engine      : %10.1f ms\n", grid_ms);
+  std::printf("reference kd-tree: %10.1f ms\n", kd_ms);
+  std::printf("production grid  : %10.1f ms\n", grid_ms);
   std::printf("speedup          : %10.1fx\n", kd_ms / grid_ms);
   std::printf("label mismatches : %zu (must be 0)\n\n", mismatches);
 

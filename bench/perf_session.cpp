@@ -236,11 +236,11 @@ int main() {
     }
     Clock::time_point start = Clock::now();
     align::MultipleAlignment full =
-        align::star_align(tasks, {}, align::AlignmentEngine::kFull);
+        align::star_align(tasks, {}, nullptr, align::AlignmentEngine::kFull);
     align_full_ms = ms_since(start);
     start = Clock::now();
     align::MultipleAlignment banded =
-        align::star_align(tasks, {}, align::AlignmentEngine::kBanded);
+        align::star_align(tasks, {}, nullptr, align::AlignmentEngine::kBanded);
     align_banded_ms = ms_since(start);
     align_identical =
         full.rows() == banded.rows() && full.consensus() == banded.consensus();

@@ -9,14 +9,6 @@
 
 namespace perftrack::align {
 
-std::vector<Symbol> MultipleAlignment::column(std::size_t c) const {
-  PT_REQUIRE(c < column_count(), "column index out of range");
-  std::vector<Symbol> out;
-  out.reserve(rows_.size());
-  for (const auto& row : rows_) out.push_back(row[c]);
-  return out;
-}
-
 std::vector<Symbol> MultipleAlignment::consensus() const {
   std::vector<Symbol> out;
   for (std::size_t c = 0; c < column_count(); ++c) {
@@ -92,8 +84,8 @@ bool merge_member(const PairAlignment& pa, std::size_t s,
 }  // namespace
 
 MultipleAlignment star_align(const std::vector<std::vector<Symbol>>& sequences,
-                             const AlignmentScores& scores,
-                             AlignmentEngine engine, ThreadPool* pool) {
+                             const AlignmentScores& scores, ThreadPool* pool,
+                             AlignmentEngine engine) {
   PT_SPAN("star_align");
   MultipleAlignment out;
   if (sequences.empty()) return out;

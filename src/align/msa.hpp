@@ -49,9 +49,6 @@ public:
   /// Row `s` (gapped copy of input sequence s, kGap where padded).
   std::span<const Symbol> row(std::size_t s) const { return rows_[s]; }
 
-  /// The symbols of column `c`, one per sequence (may contain kGap).
-  std::vector<Symbol> column(std::size_t c) const;
-
   /// Most frequent non-gap symbol per column (ties -> smaller symbol).
   /// Columns that are all gaps are skipped, so the result is a plain
   /// ungapped sequence usable as the experiment's representative
@@ -69,12 +66,12 @@ private:
 /// Centre-star MSA over `sequences`. The centre is the longest sequence
 /// (ties -> lowest index). Row order matches input order. An empty input
 /// yields an empty alignment; empty member sequences become all-gap rows.
-/// `engine` selects the pairwise DP; `pool` (optional) parallelises the
-/// per-member alignments — the result is bit-identical for any engine,
-/// pool, and thread count.
+/// `pool` (optional) parallelises the per-member alignments and `engine`
+/// forces a pairwise DP (tests and benchmarks) — the result is
+/// bit-identical for any pool, thread count and engine.
 MultipleAlignment star_align(const std::vector<std::vector<Symbol>>& sequences,
                              const AlignmentScores& scores = {},
-                             AlignmentEngine engine = AlignmentEngine::kAuto,
-                             ThreadPool* pool = nullptr);
+                             ThreadPool* pool = nullptr,
+                             AlignmentEngine engine = AlignmentEngine::kAuto);
 
 }  // namespace perftrack::align

@@ -295,15 +295,7 @@ PairAlignment needleman_wunsch(std::span<const Symbol> a,
 PairAlignment needleman_wunsch(
     std::span<const Symbol> a, std::span<const Symbol> b,
     const std::function<double(Symbol, Symbol)>& pair_score,
-    double gap_penalty) {
-  PT_SPAN("needleman_wunsch");
-  return full_dp(a, b, pair_score, gap_penalty);
-}
-
-PairAlignment needleman_wunsch(
-    std::span<const Symbol> a, std::span<const Symbol> b,
-    const std::function<double(Symbol, Symbol)>& pair_score,
-    double gap_penalty, AlignmentEngine engine, double max_pair_score) {
+    double gap_penalty, double max_pair_score, AlignmentEngine engine) {
   return align_sequences(a, b, pair_score, gap_penalty, max_pair_score,
                          engine);
 }

@@ -28,7 +28,9 @@
 //
 // kAuto picks the banded engine when the scoring scheme admits the
 // certificate (negative gap penalty below half the maximum pair score) and
-// the problem is big enough to profit; kFull/kBanded force an engine.
+// the problem is big enough to profit; kFull/kBanded force an engine. The
+// choice is this module's own: callers outside align/ take kAuto, and only
+// the equivalence tests, the fuzzer and the benchmarks force an engine.
 
 #include <cstdint>
 #include <functional>
@@ -79,21 +81,15 @@ PairAlignment needleman_wunsch(std::span<const Symbol> a,
                                const AlignmentScores& scores = {},
                                AlignmentEngine engine = AlignmentEngine::kAuto);
 
-/// Align with an arbitrary pair score and linear gap penalty (full DP: the
-/// banded certificate needs a pair-score bound the callable cannot supply).
-PairAlignment needleman_wunsch(
-    std::span<const Symbol> a, std::span<const Symbol> b,
-    const std::function<double(Symbol, Symbol)>& pair_score,
-    double gap_penalty);
-
-/// Align with an arbitrary pair score, an engine choice, and the bound the
-/// banded certificate needs: `max_pair_score` must satisfy
+/// Align with an arbitrary pair score, a linear gap penalty, and the bound
+/// the banded certificate needs: `max_pair_score` must satisfy
 /// pair_score(x, y) <= max_pair_score for every symbol pair the sequences
-/// can form. An unsound bound breaks the equality guarantee; when in doubt
-/// use the kFull overload above.
+/// can form. An unsound bound breaks the equality guarantee; a caller with
+/// no bound passes +infinity, which takes the full DP.
 PairAlignment needleman_wunsch(
     std::span<const Symbol> a, std::span<const Symbol> b,
     const std::function<double(Symbol, Symbol)>& pair_score,
-    double gap_penalty, AlignmentEngine engine, double max_pair_score);
+    double gap_penalty, double max_pair_score,
+    AlignmentEngine engine = AlignmentEngine::kAuto);
 
 }  // namespace perftrack::align

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "geom/kdtree.hpp"
+#include "geom/nn_tree.hpp"
 #include "obs/telemetry.hpp"
 
 namespace perftrack::cluster {
@@ -16,7 +16,7 @@ AutotuneResult suggest_dbscan_params(const geom::PointSet& points,
   PT_REQUIRE(points.size() > min_pts,
              "auto-tuning needs more points than min_pts");
 
-  geom::KdTree tree(points);
+  const geom::NnTree tree(points);
   AutotuneResult result;
   result.min_pts = min_pts;
   result.k_distances.reserve(points.size());
@@ -24,10 +24,8 @@ AutotuneResult suggest_dbscan_params(const geom::PointSet& points,
     // k_nearest includes the point itself at distance 0, so ask for
     // min_pts + 1 and take the last — the distance to the min_pts-th
     // neighbour, matching DBSCAN's neighbourhood count convention.
-    auto neighbours = tree.k_nearest(points[i], min_pts + 1);
-    std::size_t kth = neighbours.back();
-    result.k_distances.push_back(
-        geom::distance(points[i], points[kth]));
+    const std::size_t kth = tree.k_nearest(points[i], min_pts + 1).back();
+    result.k_distances.push_back(geom::distance(points[i], points[kth]));
   }
   std::sort(result.k_distances.begin(), result.k_distances.end(),
             std::greater<>());

@@ -5,7 +5,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "geom/grid_index.hpp"
-#include "geom/kdtree.hpp"
+#include "geom/nn_tree.hpp"
 #include "obs/telemetry.hpp"
 
 namespace perftrack::cluster {
@@ -15,17 +15,17 @@ namespace {
 // -2 = unvisited, kNoise = visited and (so far) noise, >=0 = cluster id.
 constexpr std::int32_t kUnvisited = -2;
 
-/// Auto mode only accepts a grid this large; beyond it (high-dimensional or
-/// wildly spread data) the kd-tree wins on memory and build time.
+/// The grid engine only takes a grid this large; beyond it (high-dimensional
+/// or wildly spread data) the tree wins on memory and build time.
 constexpr std::size_t kMaxGridCells = std::size_t{1} << 20;
 
-/// Original engine: a kd-tree radius query per visited point. Kept as the
-/// fallback for high-dimensional inputs and as the reference the grid
-/// engine is tested against.
-std::int32_t expand_kdtree(const geom::PointSet& points,
-                           const DbscanParams& params,
-                           std::vector<std::int32_t>& labels) {
-  geom::KdTree tree(points);
+/// Tree engine: the textbook BFS, one radius query per visited point. Only
+/// each point's neighbour set matters, so the labels are the grid
+/// engine's for any input.
+std::int32_t expand_tree(const geom::PointSet& points,
+                         const DbscanParams& params,
+                         std::vector<std::int32_t>& labels) {
+  const geom::NnTree tree(points);
   const std::size_t n = points.size();
   std::vector<std::size_t> neighbours;
   std::vector<std::size_t> frontier;
@@ -226,12 +226,9 @@ DbscanResult dbscan(const geom::PointSet& points, const DbscanParams& params) {
   std::vector<std::int32_t>& labels = result.labels;
   labels.assign(n, kUnvisited);
 
-  const bool use_grid = params.index == DbscanIndex::kGrid ||
-                        (params.index == DbscanIndex::kAuto &&
-                         grid_applicable(points, params));
-  const std::int32_t clusters = use_grid
+  const std::int32_t clusters = grid_applicable(points, params)
                                     ? expand_grid(points, params, labels)
-                                    : expand_kdtree(points, params, labels);
+                                    : expand_tree(points, params, labels);
 
   for (auto& l : labels)
     PT_ASSERT(l != kUnvisited, "dbscan left a point unvisited");

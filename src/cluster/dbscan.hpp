@@ -14,9 +14,11 @@
 // cells in reach with an early exit at min_pts — then clusters form by
 // merging core components across neighbouring cells and attaching border
 // points, the standard acceleration for dense low-dimensional DBSCAN.
-// High-dimensional or degenerate inputs fall back to the original
-// per-point kd-tree radius queries; both engines produce identical labels
-// for any input (covered by tests/cluster/test_dbscan.cpp).
+// Inputs with more than 3 dimensions, or whose grid would need more than
+// 2^20 cells, take the textbook per-point BFS over geom::NnTree radius
+// queries instead. Labels do not depend on the engine: both are compared
+// against the textbook BFS over a reference kd-tree
+// (tests/testing/dbscan_reference.hpp) in tests/cluster/test_dbscan.cpp.
 
 #include <cstdint>
 #include <vector>
@@ -27,20 +29,12 @@ namespace perftrack::cluster {
 
 inline constexpr std::int32_t kNoise = -1;
 
-/// Which spatial index answers the eps-neighbourhood queries. kAuto picks
-/// the grid for low-dimensional data whose grid stays small and the
-/// kd-tree otherwise; the explicit values pin one engine (benchmarks and
-/// equivalence tests).
-enum class DbscanIndex { kAuto, kKdTree, kGrid };
-
 struct DbscanParams {
   /// Neighbourhood radius in the normalised [0,1]^d space.
   double eps = 0.04;
   /// Minimum neighbourhood size (including the point itself) for a core
   /// point.
   std::size_t min_pts = 5;
-  /// Neighbourhood index engine (labels are engine-independent).
-  DbscanIndex index = DbscanIndex::kAuto;
 };
 
 struct DbscanResult {

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "trace/metrics.hpp"
 
 namespace perftrack::cluster {
 
@@ -101,27 +100,6 @@ std::string ascii_scatter(const Frame& frame, const ScatterOptions& options,
   out += "   x: [" + format_si(x_min) + ", " + format_si(x_max) + "]  y: [" +
          format_si(y_min) + ", " + format_si(y_max) +
          (options.log_y ? "] (log)" : "]") + "\n";
-  return out;
-}
-
-std::string scatter_csv(const Frame& frame,
-                        const std::vector<std::int32_t>* relabel) {
-  const Projection& proj = frame.projection();
-  std::string out = "cluster";
-  for (auto m : proj.metrics)
-    out += "," + std::string(trace::metric_name(m));
-  out += "\n";
-  for (std::size_t row = 0; row < proj.size(); ++row) {
-    std::int32_t id = frame.labels()[row];
-    if (id == kNoise) continue;
-    std::int32_t display =
-        relabel ? (*relabel)[static_cast<std::size_t>(id)] : id;
-    out += std::to_string(display + 1);
-    auto p = proj.points[row];
-    for (std::size_t d = 0; d < proj.points.dims(); ++d)
-      out += "," + format_double(p[d], 6);
-    out += "\n";
-  }
   return out;
 }
 

@@ -36,9 +36,4 @@ struct ScatterOptions {
 std::string ascii_scatter(const Frame& frame, const ScatterOptions& options,
                           const std::vector<std::int32_t>* relabel = nullptr);
 
-/// Per-point CSV: one row per clustered burst with the projected
-/// coordinates and cluster id (1-based display numbering).
-std::string scatter_csv(const Frame& frame,
-                        const std::vector<std::int32_t>* relabel = nullptr);
-
 }  // namespace perftrack::cluster

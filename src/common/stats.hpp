@@ -7,17 +7,14 @@
 
 namespace perftrack {
 
-/// Streaming accumulator for count / mean / variance / extrema
-/// (Welford's algorithm, numerically stable).
+/// Streaming accumulator for count / mean / extrema (Welford's running
+/// mean, numerically stable).
 class RunningStats {
 public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return count_ ? mean_ * static_cast<double>(count_) : 0.0; }
@@ -25,22 +22,11 @@ public:
 private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
 
 /// Percentile with linear interpolation; p in [0,100]. Sorts a copy.
 double percentile(std::span<const double> values, double p);
-
-/// Arithmetic mean; 0 for an empty span.
-double mean_of(std::span<const double> values);
-
-/// Sum of values.
-double sum_of(std::span<const double> values);
-
-/// Weighted mean; 0 if total weight is 0.
-double weighted_mean(std::span<const double> values,
-                     std::span<const double> weights);
 
 }  // namespace perftrack

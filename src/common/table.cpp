@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
-#include <fstream>
-#include <ostream>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -46,13 +45,6 @@ void Table::cell(double value, int decimals) {
 void Table::cell(std::size_t value) { cell(std::to_string(value)); }
 void Table::cell(long long value) { cell(std::to_string(value)); }
 
-const std::string& Table::at(std::size_t row, std::size_t col) const {
-  const_cast<Table*>(this)->finish_pending_row();
-  PT_REQUIRE(row < rows_.size() && col < headers_.size(),
-             "table index out of range");
-  return rows_[row][col];
-}
-
 std::string Table::to_text(int indent) const {
   const_cast<Table*>(this)->finish_pending_row();
   std::vector<std::size_t> widths(headers_.size());
@@ -83,45 +75,6 @@ std::string Table::to_text(int indent) const {
   out += underline + '\n';
   for (const auto& row : rows_) out += render_row(row);
   return out;
-}
-
-std::string Table::to_csv() const {
-  const_cast<Table*>(this)->finish_pending_row();
-  auto escape = [](const std::string& field) {
-    if (field.find_first_of(",\"\n") == std::string::npos) return field;
-    std::string out = "\"";
-    for (char ch : field) {
-      if (ch == '"') out += "\"\"";
-      else out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) out += ',';
-    out += escape(headers_[c]);
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += escape(row[c]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-void Table::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open for writing: " + path);
-  out << to_csv();
-  if (!out) throw IoError("write failed: " + path);
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& table) {
-  return os << table.to_text();
 }
 
 }  // namespace perftrack

@@ -2,12 +2,11 @@
 // Column-oriented text tables.
 //
 // Every bench binary reproduces a paper table or figure series by filling a
-// Table and rendering it either as aligned text (for the terminal) or CSV
-// (for downstream plotting). Cells are strings; numeric helpers format on
-// insertion so a rendered table is what you saw when you built it.
+// Table and rendering it as aligned text for the terminal. Cells are
+// strings; numeric helpers format on insertion so a rendered table is what
+// you saw when you built it.
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -33,17 +32,9 @@ public:
   void cell(std::size_t value);
   void cell(long long value);
 
-  const std::string& at(std::size_t row, std::size_t col) const;
-
   /// Render with padded columns, a header underline and `indent` spaces
   /// before each line.
   std::string to_text(int indent = 0) const;
-
-  /// Render as RFC-4180-ish CSV (fields containing comma/quote are quoted).
-  std::string to_csv() const;
-
-  /// Write to_csv() to a file; throws IoError on failure.
-  void save_csv(const std::string& path) const;
 
 private:
   void finish_pending_row();
@@ -53,7 +44,5 @@ private:
   std::vector<std::string> pending_;
   bool building_ = false;
 };
-
-std::ostream& operator<<(std::ostream& os, const Table& table);
 
 }  // namespace perftrack

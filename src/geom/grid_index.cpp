@@ -79,7 +79,7 @@ GridIndex::GridIndex(const PointSet& points, double cell_size)
   point_of_.resize(n);
   std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   // Filling in point order keeps every bucket ascending, which is what
-  // makes radius results and pair enumeration deterministic.
+  // makes the grid engine's scans deterministic.
   for (std::size_t i = 0; i < n; ++i)
     point_of_[cursor[cell_of_point_[i]]++] = static_cast<std::uint32_t>(i);
 }
@@ -102,59 +102,6 @@ std::size_t GridIndex::cell_of(std::span<const double> p) const {
     cell += c * stride_[d];
   }
   return cell;
-}
-
-std::vector<std::size_t> GridIndex::radius_query(std::span<const double> query,
-                                                 double radius) const {
-  std::vector<std::size_t> out;
-  radius_query(query, radius, out);
-  return out;
-}
-
-void GridIndex::radius_query(std::span<const double> query, double radius,
-                             std::vector<std::size_t>& out) const {
-  PT_REQUIRE(query.size() == points_.dims(), "query dimension mismatch");
-  PT_REQUIRE(radius >= 0.0, "radius must be non-negative");
-  out.clear();
-  if (cell_of_point_.empty()) return;
-  const std::size_t dims = points_.dims();
-  const double radius_sq = radius * radius;
-
-  // Cell box covering the query ball, clamped to the grid. Clamping
-  // happens in double space: a query far outside the data (or NaN) makes
-  // the raw offsets unsafe to cast first.
-  std::vector<std::size_t> c_lo(dims), c_hi(dims), cursor(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    const double max_off = static_cast<double>(res_[d] - 1);
-    double lo_off = std::floor((query[d] - radius - lo_[d]) / cell_size_);
-    double hi_off = std::floor((query[d] + radius - lo_[d]) / cell_size_);
-    c_lo[d] = !(lo_off > 0.0)      ? 0
-              : lo_off >= max_off ? res_[d] - 1
-                                  : static_cast<std::size_t>(lo_off);
-    c_hi[d] = !(hi_off > 0.0)      ? 0
-              : hi_off >= max_off ? res_[d] - 1
-                                  : static_cast<std::size_t>(hi_off);
-    cursor[d] = c_lo[d];
-  }
-
-  // Odometer walk over the cell box.
-  for (;;) {
-    std::size_t cell = 0;
-    for (std::size_t d = 0; d < dims; ++d) cell += cursor[d] * stride_[d];
-    for (std::uint32_t s = cell_start_[cell]; s < cell_start_[cell + 1]; ++s) {
-      const std::uint32_t idx = point_of_[s];
-      if (squared_distance(query, points_[idx]) <= radius_sq)
-        out.push_back(idx);
-    }
-    std::size_t d = 0;
-    while (d < dims && cursor[d] == c_hi[d]) {
-      cursor[d] = c_lo[d];
-      ++d;
-    }
-    if (d == dims) break;
-    ++cursor[d];
-  }
-  std::sort(out.begin(), out.end());
 }
 
 void GridIndex::for_each_cell_in_reach(
@@ -192,86 +139,6 @@ void GridIndex::for_each_cell_in_reach(
     }
     if (d == dims) break;
     ++cursor[d];
-  }
-}
-
-void GridIndex::for_each_pair_within(
-    double radius,
-    const std::function<void(std::size_t, std::size_t)>& visit) const {
-  PT_REQUIRE(radius >= 0.0, "radius must be non-negative");
-  if (cell_of_point_.empty()) return;
-  const std::size_t dims = points_.dims();
-  const double radius_sq = radius * radius;
-  const std::ptrdiff_t reach = reach_cells(radius);
-
-  // Lexicographically-forward neighbour offsets: the first non-zero
-  // component is positive, so every unordered cell pair is enumerated from
-  // exactly one side. (0, ..., 0) is excluded — intra-cell pairs are
-  // handled separately below.
-  std::vector<std::vector<std::ptrdiff_t>> forward;
-  std::vector<std::ptrdiff_t> offset(dims, -reach);
-  if (reach > 0) {
-    for (;;) {
-      std::size_t first_non_zero = dims;
-      for (std::size_t d = 0; d < dims; ++d)
-        if (offset[d] != 0) {
-          first_non_zero = d;
-          break;
-        }
-      if (first_non_zero < dims && offset[first_non_zero] > 0)
-        forward.push_back(offset);
-      std::size_t d = 0;
-      while (d < dims && offset[d] == reach) {
-        offset[d] = -reach;
-        ++d;
-      }
-      if (d == dims) break;
-      ++offset[d];
-    }
-  }
-
-  std::vector<std::size_t> coords(dims);
-  for (std::size_t cell = 0; cell < cells_; ++cell) {
-    const std::uint32_t begin = cell_start_[cell];
-    const std::uint32_t end = cell_start_[cell + 1];
-    if (begin == end) continue;
-
-    // Intra-cell pairs (buckets are ascending, so i < j holds).
-    for (std::uint32_t s = begin; s < end; ++s)
-      for (std::uint32_t t = s + 1; t < end; ++t) {
-        const std::uint32_t i = point_of_[s];
-        const std::uint32_t j = point_of_[t];
-        if (squared_distance(points_[i], points_[j]) <= radius_sq)
-          visit(i, j);
-      }
-
-    if (forward.empty()) continue;
-    std::size_t rest = cell;
-    for (std::size_t d = dims; d-- > 0;) {
-      coords[d] = rest / stride_[d];
-      rest %= stride_[d];
-    }
-    for (const auto& off : forward) {
-      std::size_t other = 0;
-      bool in_range = true;
-      for (std::size_t d = 0; d < dims; ++d) {
-        const auto c = static_cast<std::ptrdiff_t>(coords[d]) + off[d];
-        if (c < 0 || c >= static_cast<std::ptrdiff_t>(res_[d])) {
-          in_range = false;
-          break;
-        }
-        other += static_cast<std::size_t>(c) * stride_[d];
-      }
-      if (!in_range) continue;
-      for (std::uint32_t s = begin; s < end; ++s)
-        for (std::uint32_t t = cell_start_[other]; t < cell_start_[other + 1];
-             ++t) {
-          const std::uint32_t i = point_of_[s];
-          const std::uint32_t j = point_of_[t];
-          if (squared_distance(points_[i], points_[j]) <= radius_sq)
-            visit(std::min(i, j), std::max(i, j));
-        }
-    }
   }
 }
 

@@ -1,12 +1,13 @@
 #pragma once
 // Uniform-grid spatial index over a PointSet.
 //
-// DBSCAN's hot query is "everything within eps of this point". A kd-tree
+// DBSCAN's hot query is "everything within eps of this point". A tree
 // answers it in O(log n + k) with scattered memory traffic; a uniform grid
-// with cell edge on the order of eps answers it by scanning the few cells
-// around the query's cell — a bounded, contiguous candidate set, which is
-// the standard acceleration for dense low-dimensional DBSCAN (dbscan uses
-// edge eps / sqrt(d), so points sharing a cell are always neighbours).
+// with cell edge on the order of eps answers it by scanning the point's
+// own cell and the few cells in reach of it — a bounded, contiguous
+// candidate set, which is the standard acceleration for dense
+// low-dimensional DBSCAN (dbscan uses edge eps / sqrt(d), so points
+// sharing a cell are always neighbours).
 // Cells are stored CSR-style (one offset table plus one point-index array
 // grouped by cell), built in two counting passes with no per-cell
 // allocations.
@@ -15,7 +16,7 @@
 // structure only makes sense in low dimensions over bounded data (the
 // pipeline's normalised metric spaces are 2-D or 3-D in [0,1]^d). Callers
 // should veto degenerate configurations with plan_cells() and fall back to
-// the kd-tree — dbscan() does exactly that.
+// a tree — dbscan() does exactly that.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,24 +48,6 @@ public:
   /// before committing to the build.
   static std::size_t plan_cells(const PointSet& points, double cell_size,
                                 std::size_t limit);
-
-  /// All point indices within Euclidean `radius` of `query` (inclusive
-  /// boundary), ascending — the same contract as KdTree::radius_query.
-  std::vector<std::size_t> radius_query(std::span<const double> query,
-                                        double radius) const;
-
-  /// As radius_query but appends into `out` (cleared first).
-  void radius_query(std::span<const double> query, double radius,
-                    std::vector<std::size_t>& out) const;
-
-  /// Visit every unordered point pair (i, j), i < j, whose distance is
-  /// <= radius, exactly once. This is the symmetric bulk form DBSCAN uses
-  /// to compute every neighbourhood once: cells are paired with their
-  /// lexicographically-forward neighbours only, so each pair of points is
-  /// tested against the radius a single time.
-  void for_each_pair_within(
-      double radius,
-      const std::function<void(std::size_t, std::size_t)>& visit) const;
 
   /// Point indices bucketed in `cell`, ascending.
   std::span<const std::uint32_t> bucket(std::size_t cell) const {

@@ -1,8 +1,10 @@
 #include "geom/nn_tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -72,14 +74,16 @@ void NnTree::build(std::size_t node, std::size_t begin, std::size_t end,
   build(2 * node + 2, mid, end, level + 1);
 }
 
-/// One query's state. Distances are accumulated axis by axis from 0.0 in
-/// both box_d2 and scan, the order the exactness argument in the header
-/// relies on.
-struct NnTree::Search {
+/// One query's walk, shared by the three queries. The visitor supplies
+/// bound(), the squared distance beyond which a box is skipped, and
+/// take(d2, row), called for every point of a visited leaf. Distances are
+/// accumulated axis by axis from 0.0 in both box_d2 and scan, the order the
+/// exactness argument in the header relies on.
+template <typename Visitor>
+struct NnTree::Walk {
   const NnTree& tree;
   std::span<const double> query;
-  double best_sq;
-  std::size_t best;
+  Visitor& visitor;
 
   double box_d2(std::size_t node) const {
     const std::size_t dims = query.size();
@@ -95,13 +99,6 @@ struct NnTree::Search {
     return d2;
   }
 
-  void consider(double d2, std::size_t row) {
-    if (d2 < best_sq || (d2 == best_sq && row < best)) {
-      best_sq = d2;
-      best = row;
-    }
-  }
-
   void scan(std::size_t begin, std::size_t end) {
     const std::size_t n = tree.size();
     const double* col = tree.col_.data();
@@ -111,7 +108,7 @@ struct NnTree::Search {
       const double qx = query[0], qy = query[1];
       for (std::size_t s = begin; s < end; ++s) {
         const double dx = col[s] - qx, dy = col[n + s] - qy;
-        consider(dx * dx + dy * dy, rows[s]);
+        visitor.take(dx * dx + dy * dy, rows[s]);
       }
       return;
     }
@@ -121,13 +118,13 @@ struct NnTree::Search {
         const double diff = col[d * n + s] - query[d];
         d2 += diff * diff;
       }
-      consider(d2, rows[s]);
+      visitor.take(d2, rows[s]);
     }
   }
 
   /// Visit `node` (slots [begin, end) at `level`): the nearer child first,
-  /// and a child only when its box is not strictly farther than the best.
-  /// '!(x > best)' rather than 'x <= best' also visits a NaN box.
+  /// and a child only when its box is not strictly farther than the bound.
+  /// '!(x > bound)' rather than 'x <= bound' also visits a NaN box.
   void descend(std::size_t node, std::size_t begin, std::size_t end,
                std::size_t level) {
     if (level == tree.depth_) {
@@ -138,25 +135,102 @@ struct NnTree::Search {
     const std::size_t left = 2 * node + 1, right = left + 1;
     const double left_d2 = box_d2(left), right_d2 = box_d2(right);
     if (right_d2 < left_d2) {
-      if (!(right_d2 > best_sq)) descend(right, mid, end, level + 1);
-      if (!(left_d2 > best_sq)) descend(left, begin, mid, level + 1);
+      if (!(right_d2 > visitor.bound())) descend(right, mid, end, level + 1);
+      if (!(left_d2 > visitor.bound())) descend(left, begin, mid, level + 1);
     } else {
-      if (!(left_d2 > best_sq)) descend(left, begin, mid, level + 1);
-      if (!(right_d2 > best_sq)) descend(right, mid, end, level + 1);
+      if (!(left_d2 > visitor.bound())) descend(left, begin, mid, level + 1);
+      if (!(right_d2 > visitor.bound())) descend(right, mid, end, level + 1);
     }
   }
 };
+
+namespace {
+
+/// nearest(): the best point so far.
+struct Nearest {
+  double best_sq;
+  std::size_t best;
+
+  double bound() const { return best_sq; }
+  void take(double d2, std::size_t row) {
+    if (d2 < best_sq || (d2 == best_sq && row < best)) {
+      best_sq = d2;
+      best = row;
+    }
+  }
+};
+
+/// radius_query(): every point within the radius, in visiting order.
+struct WithinRadius {
+  double radius_sq;
+  std::vector<std::size_t>& out;
+
+  double bound() const { return radius_sq; }
+  void take(double d2, std::size_t row) {
+    if (d2 <= radius_sq) out.push_back(row);
+  }
+};
+
+/// k_nearest(): the k best (distance, row) candidates in a max-heap whose
+/// front is the worst kept one. A NaN distance is kept as +infinity, which
+/// is what orders it after every number.
+struct KNearest {
+  std::size_t k;
+  std::vector<std::pair<double, std::size_t>> heap;
+
+  double bound() const {
+    return heap.size() < k ? std::numeric_limits<double>::infinity()
+                           : heap.front().first;
+  }
+  void take(double d2, std::size_t row) {
+    const std::pair<double, std::size_t> candidate{
+        std::isnan(d2) ? std::numeric_limits<double>::infinity() : d2, row};
+    if (heap.size() < k) {
+      heap.push_back(candidate);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (candidate < heap.front()) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = candidate;
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+};
+
+}  // namespace
 
 std::size_t NnTree::nearest(std::span<const double> query,
                             std::size_t hint) const {
   PT_REQUIRE(!empty(), "nearest() on empty tree");
   PT_REQUIRE(query.size() == dims(), "query dimension mismatch");
-  Search search{*this, query, std::numeric_limits<double>::infinity(),
-                row_[0]};
-  if (hint < size())
-    search.consider(squared_distance(points_[hint], query), hint);
-  search.descend(0, 0, size(), 0);
-  return search.best;
+  Nearest best{std::numeric_limits<double>::infinity(), row_[0]};
+  if (hint < size()) best.take(squared_distance(points_[hint], query), hint);
+  Walk<Nearest>{*this, query, best}.descend(0, 0, size(), 0);
+  return best.best;
+}
+
+void NnTree::radius_query(std::span<const double> query, double radius,
+                          std::vector<std::size_t>& out) const {
+  PT_REQUIRE(query.size() == dims(), "query dimension mismatch");
+  PT_REQUIRE(radius >= 0.0, "radius must be non-negative");
+  out.clear();
+  if (empty()) return;
+  WithinRadius within{radius * radius, out};
+  Walk<WithinRadius>{*this, query, within}.descend(0, 0, size(), 0);
+  std::sort(out.begin(), out.end());
+}
+
+std::vector<std::size_t> NnTree::k_nearest(std::span<const double> query,
+                                           std::size_t k) const {
+  PT_REQUIRE(query.size() == dims(), "query dimension mismatch");
+  KNearest knn{std::min(k, size()), {}};
+  std::vector<std::size_t> out;
+  if (knn.k == 0) return out;
+  knn.heap.reserve(knn.k);
+  Walk<KNearest>{*this, query, knn}.descend(0, 0, size(), 0);
+  std::sort_heap(knn.heap.begin(), knn.heap.end());
+  out.reserve(knn.k);
+  for (const auto& candidate : knn.heap) out.push_back(candidate.second);
+  return out;
 }
 
 }  // namespace perftrack::geom

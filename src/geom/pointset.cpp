@@ -40,17 +40,6 @@ std::vector<double> PointSet::max_corner() const {
   return hi;
 }
 
-std::vector<double> PointSet::centroid() const {
-  std::vector<double> c(dims_, 0.0);
-  if (empty()) return c;
-  for (std::size_t i = 0; i < size(); ++i) {
-    auto p = (*this)[i];
-    for (std::size_t d = 0; d < dims_; ++d) c[d] += p[d];
-  }
-  for (double& v : c) v /= static_cast<double>(size());
-  return c;
-}
-
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   PT_ASSERT(a.size() == b.size(), "dimension mismatch in distance");
   double s = 0.0;

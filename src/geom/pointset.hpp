@@ -44,9 +44,6 @@ public:
   std::vector<double> min_corner() const;
   std::vector<double> max_corner() const;
 
-  /// Arithmetic mean of all points; empty set yields all-zero centroid.
-  std::vector<double> centroid() const;
-
 private:
   std::size_t dims_ = 0;
   std::vector<double> data_;

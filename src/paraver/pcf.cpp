@@ -98,13 +98,6 @@ void write_pcf(std::ostream& out, const PcfConfig& config) {
   if (!out) throw IoError("pcf write failed");
 }
 
-void save_pcf(const std::string& path, const PcfConfig& config) {
-  errno = 0;
-  std::ofstream out(path);
-  if (!out) throw io_error("cannot open for writing", path);
-  write_pcf(out, config);
-}
-
 PcfConfig read_pcf(std::istream& in, Diagnostics& diags) {
   PcfConfig config;
   std::string line;

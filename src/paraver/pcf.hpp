@@ -59,7 +59,6 @@ private:
 
 /// Serialise the PCF subset.
 void write_pcf(std::ostream& out, const PcfConfig& config);
-void save_pcf(const std::string& path, const PcfConfig& config);
 
 /// Parse the PCF subset (caller table + application comment), reporting
 /// malformed caller values to `diags` (strict collectors throw ParseError,

@@ -162,14 +162,17 @@ trace::Trace read_prv_streams(std::istream& prv, std::istream& pcf,
   auto task_count = try_parse_u64(trim(task_field.substr(0, paren)));
   if (!task_count)
     throw fatal_header("bad task count in #Paraver header");
-  auto num_tasks = static_cast<std::uint32_t>(*task_count);
-  if (num_tasks == 0) throw fatal_header("header declares zero tasks");
+  if (*task_count == 0) throw fatal_header("header declares zero tasks");
+  if (*task_count > trace::kMaxTasks)
+    throw fatal_header("header declares " + std::to_string(*task_count) +
+                       " tasks, above the limit of " +
+                       std::to_string(trace::kMaxTasks));
+  const auto num_tasks = static_cast<std::uint32_t>(*task_count);
 
-  trace::Trace out("paraver-import", num_tasks);
-  if (!config.application.empty()) {
-    out = trace::Trace(config.application, num_tasks);
-    out.set_label(config.application);
-  }
+  trace::Trace out(config.application.empty() ? "paraver-import"
+                                              : config.application,
+                   num_tasks);
+  if (!config.application.empty()) out.set_label(config.application);
 
   // Open running-state intervals per task, waiting for their counter event.
   struct Open {

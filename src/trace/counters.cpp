@@ -15,12 +15,4 @@ std::string_view counter_name(Counter c) {
   throw PreconditionError("invalid counter enum value");
 }
 
-Counter counter_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    auto c = static_cast<Counter>(i);
-    if (counter_name(c) == name) return c;
-  }
-  throw ParseError("unknown counter name: " + std::string(name));
-}
-
 }  // namespace perftrack::trace

@@ -27,9 +27,6 @@ inline constexpr std::size_t kCounterCount = 5;
 /// Stable short mnemonic ("PAPI-like") for a counter.
 std::string_view counter_name(Counter c);
 
-/// Parse a mnemonic produced by counter_name; throws ParseError on unknown.
-Counter counter_from_name(std::string_view name);
-
 /// Fixed-size vector of raw counter values for one burst.
 class CounterSet {
 public:

@@ -6,13 +6,22 @@
 
 namespace perftrack::trace {
 
+namespace {
+
+/// Checked before per_task_ is sized from it.
+std::uint32_t checked_task_count(std::uint32_t num_tasks) {
+  PT_REQUIRE(num_tasks > 0, "trace needs at least one task");
+  PT_REQUIRE(num_tasks <= kMaxTasks, "trace task count above kMaxTasks");
+  return num_tasks;
+}
+
+}  // namespace
+
 Trace::Trace(std::string application, std::uint32_t num_tasks)
     : application_(std::move(application)),
       label_(application_),
-      num_tasks_(num_tasks),
-      per_task_(num_tasks) {
-  PT_REQUIRE(num_tasks > 0, "trace needs at least one task");
-}
+      num_tasks_(checked_task_count(num_tasks)),
+      per_task_(num_tasks_) {}
 
 std::string Trace::attribute_or(const std::string& key,
                                 const std::string& fallback) const {

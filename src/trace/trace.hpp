@@ -22,6 +22,11 @@ namespace perftrack::trace {
 
 using TaskId = std::uint32_t;
 
+/// Most tasks a Trace may have. A Trace keeps one index vector per task, so
+/// a count read from a file is checked against this before anything is
+/// allocated; 2^20 is 4096 times the largest study's 256 tasks.
+inline constexpr std::uint32_t kMaxTasks = std::uint32_t{1} << 20;
+
 /// One sequential computation between two parallel-runtime calls.
 struct Burst {
   TaskId task = 0;
@@ -35,6 +40,7 @@ struct Burst {
 
 class Trace {
 public:
+  /// Throws PreconditionError unless 0 < num_tasks <= kMaxTasks.
   Trace(std::string application, std::uint32_t num_tasks);
 
   const std::string& application() const { return application_; }

@@ -334,7 +334,7 @@ Trace parse_text(std::string_view buffer, Diagnostics& diags,
         return;
       }
       auto value = parse_uint(trim(text.substr(6)));
-      if (!value || *value == 0 || *value > kMaxU32) {
+      if (!value || *value == 0 || *value > kMaxTasks) {
         diags.error(line_no, "bad-number",
                     "bad task count: " + std::string(trim(text.substr(6))));
         return;
@@ -445,11 +445,16 @@ Trace parse_text(std::string_view buffer, Diagnostics& diags,
     for_each_raw_burst(scans, general_bursts, [&](const RawBurst& rb) {
       max_task = std::max(max_task, rb.task);
     });
-    if (burst_count == 0) {
+    if (burst_count == 0 || max_task >= kMaxTasks) {
       diags.report(diags.is_lenient() ? Severity::Warning : Severity::Error,
                    0, "missing-tasks", "trace missing 'tasks' record");
-      throw ParseError("trace unusable: no 'tasks' record and no bursts to "
-                       "infer the task count from");
+      throw ParseError(
+          burst_count == 0
+              ? "trace unusable: no 'tasks' record and no bursts to infer "
+                "the task count from"
+              : "trace unusable: no 'tasks' record, and the bursts name "
+                "task " + std::to_string(max_task) + ", above the limit of " +
+                std::to_string(kMaxTasks) + " tasks");
     }
     diags.report(diags.is_lenient() ? Severity::Warning : Severity::Error, 0,
                  "missing-tasks",

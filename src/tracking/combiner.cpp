@@ -167,8 +167,7 @@ PairTracking track_pair(const cluster::Frame& frame_a,
     if (rel.univocal()) pivots.relations.push_back(rel);
   out.sequence = evaluate_sequence(frame_a, alignment_a, frame_b,
                                    alignment_b, pivots,
-                                   params.outlier_threshold,
-                                   params.alignment_engine);
+                                   params.outlier_threshold);
 
   RelationSet refined;
   for (const Relation& rel : prelim.relations) {

@@ -36,11 +36,6 @@ struct TrackingParams {
   /// Scores for the per-frame multiple sequence alignment.
   align::AlignmentScores alignment_scores{};
 
-  /// Pairwise DP engine for every alignment (per-frame MSA and the
-  /// sequence evaluator); kAuto bands large eligible problems, with
-  /// byte-identical output either way (see align/nw.hpp).
-  align::AlignmentEngine alignment_engine = align::AlignmentEngine::kAuto;
-
   /// Per-axis log10 in the common normalised space; empty defaults to
   /// log-scaling every task-weighted axis (instruction-like totals).
   std::vector<bool> log_scale{};

@@ -11,15 +11,6 @@ void CorrelationMatrix::threshold(double min_value) {
     if (v < min_value) v = 0.0;
 }
 
-void CorrelationMatrix::normalize_rows() {
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) sum += at(i, j);
-    if (sum <= 0.0) continue;
-    for (std::size_t j = 0; j < cols_; ++j) set(i, j, at(i, j) / sum);
-  }
-}
-
 std::ptrdiff_t CorrelationMatrix::row_argmax(std::size_t i) const {
   std::ptrdiff_t best = -1;
   double best_value = 0.0;

@@ -35,9 +35,6 @@ public:
   /// Zero every cell strictly below `min_value` (the 5% outlier rule).
   void threshold(double min_value);
 
-  /// Divide each row by its sum (rows with sum 0 are left untouched).
-  void normalize_rows();
-
   /// Column index of the largest cell of row `i`, or -1 if the row is all
   /// zeros.
   std::ptrdiff_t row_argmax(std::size_t i) const;

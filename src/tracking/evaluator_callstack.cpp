@@ -67,16 +67,4 @@ CorrelationMatrix evaluate_callstack(const cluster::Frame& frame_a,
   return out;
 }
 
-bool share_code_reference(const cluster::Frame& frame_a,
-                          cluster::ObjectId object_a,
-                          const cluster::Frame& frame_b,
-                          cluster::ObjectId object_b,
-                          double outlier_threshold) {
-  auto locs_a = object_locations(frame_a, object_a, outlier_threshold);
-  auto locs_b = object_locations(frame_b, object_b, outlier_threshold);
-  for (const auto& [key, weight] : locs_a)
-    if (locs_b.count(key)) return true;
-  return false;
-}
-
 }  // namespace perftrack::tracking

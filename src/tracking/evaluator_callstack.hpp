@@ -20,12 +20,4 @@ CorrelationMatrix evaluate_callstack(const cluster::Frame& frame_a,
                                      const cluster::Frame& frame_b,
                                      double outlier_threshold = 0.05);
 
-/// Convenience for the combiner: true if the two objects share at least
-/// one source location above the threshold.
-bool share_code_reference(const cluster::Frame& frame_a,
-                          cluster::ObjectId object_a,
-                          const cluster::Frame& frame_b,
-                          cluster::ObjectId object_b,
-                          double outlier_threshold = 0.05);
-
 }  // namespace perftrack::tracking

@@ -13,8 +13,7 @@ CorrelationMatrix evaluate_sequence(const cluster::Frame& frame_a,
                                     const cluster::Frame& frame_b,
                                     const FrameAlignment& alignment_b,
                                     const RelationSet& pivots,
-                                    double outlier_threshold,
-                                    align::AlignmentEngine engine) {
+                                    double outlier_threshold) {
   PT_SPAN("evaluator_sequence");
   PT_FAILPOINT("evaluator_sequence");
   const std::size_t n = frame_a.object_count();
@@ -49,8 +48,7 @@ CorrelationMatrix evaluate_sequence(const cluster::Frame& frame_a,
   // The pivot score above never exceeds the pivot-match reward, which makes
   // 3.0 a sound per-cell bound for the banded identity certificate.
   align::PairAlignment pa = align::needleman_wunsch(
-      seq_a, seq_b, score, /*gap_penalty=*/-1.0, engine,
-      /*max_pair_score=*/3.0);
+      seq_a, seq_b, score, /*gap_penalty=*/-1.0, /*max_pair_score=*/3.0);
 
   std::vector<std::size_t> occurrences(n, 0);
   for (std::size_t c = 0; c < pa.length(); ++c) {

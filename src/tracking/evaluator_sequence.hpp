@@ -22,7 +22,6 @@ namespace perftrack::tracking {
 CorrelationMatrix evaluate_sequence(
     const cluster::Frame& frame_a, const FrameAlignment& alignment_a,
     const cluster::Frame& frame_b, const FrameAlignment& alignment_b,
-    const RelationSet& pivots, double outlier_threshold = 0.05,
-    align::AlignmentEngine engine = align::AlignmentEngine::kAuto);
+    const RelationSet& pivots, double outlier_threshold = 0.05);
 
 }  // namespace perftrack::tracking

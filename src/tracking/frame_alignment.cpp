@@ -7,11 +7,10 @@ namespace perftrack::tracking {
 
 FrameAlignment::FrameAlignment(const cluster::Frame& frame,
                                const align::AlignmentScores& scores,
-                               align::AlignmentEngine engine,
                                ThreadPool* pool) {
   PT_SPAN("frame_alignment");
   PT_FAILPOINT("frame_alignment");
-  msa_ = align::star_align(frame.task_sequences(), scores, engine, pool);
+  msa_ = align::star_align(frame.task_sequences(), scores, pool);
   consensus_ = msa_.consensus();
 }
 

@@ -17,13 +17,11 @@ namespace perftrack::tracking {
 
 class FrameAlignment {
 public:
-  /// `engine` selects the pairwise DP inside the star alignment and `pool`
-  /// (optional) parallelises the per-task alignments; the result is
-  /// bit-identical for every combination (see align/msa.hpp).
-  explicit FrameAlignment(
-      const cluster::Frame& frame, const align::AlignmentScores& scores = {},
-      align::AlignmentEngine engine = align::AlignmentEngine::kAuto,
-      ThreadPool* pool = nullptr);
+  /// `pool` (optional) parallelises the per-task alignments; the result is
+  /// bit-identical for every pool and thread count (see align/msa.hpp).
+  explicit FrameAlignment(const cluster::Frame& frame,
+                          const align::AlignmentScores& scores = {},
+                          ThreadPool* pool = nullptr);
 
   const align::MultipleAlignment& alignment() const { return msa_; }
 

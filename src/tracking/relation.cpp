@@ -31,12 +31,6 @@ std::ptrdiff_t RelationSet::find_by_left(ObjectId a) const {
   return -1;
 }
 
-std::ptrdiff_t RelationSet::find_by_right(ObjectId b) const {
-  for (std::size_t i = 0; i < relations.size(); ++i)
-    if (relations[i].right.count(b)) return static_cast<std::ptrdiff_t>(i);
-  return -1;
-}
-
 bool RelationSet::related(ObjectId a, ObjectId b) const {
   std::ptrdiff_t i = find_by_left(a);
   return i >= 0 && relations[static_cast<std::size_t>(i)].right.count(b) > 0;

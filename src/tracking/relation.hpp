@@ -41,8 +41,6 @@ struct RelationSet {
 
   /// Relation containing left object `a`, or -1.
   std::ptrdiff_t find_by_left(ObjectId a) const;
-  /// Relation containing right object `b`, or -1.
-  std::ptrdiff_t find_by_right(ObjectId b) const;
 
   /// True if `a` and `b` belong to the same relation.
   bool related(ObjectId a, ObjectId b) const;

@@ -475,8 +475,7 @@ TrackingResult TrackingSession::retrack_slots(bool move_frames) {
         obs::SpanContext ctx(here);
         if (t < to_align.size()) {
           built[t] = std::make_shared<FrameAlignment>(
-              frames[to_align[t].f], params.alignment_scores,
-              params.alignment_engine, &pool);
+              frames[to_align[t].f], params.alignment_scores, &pool);
         } else {
           const std::size_t f = t - to_align.size();
           if (params.use_displacement && needs_cloud[f])

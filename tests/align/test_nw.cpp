@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace perftrack::align {
@@ -75,7 +77,9 @@ TEST(NeedlemanWunsch, CustomScoreFunction) {
   };
   auto a = seq({1, 2, 3});
   auto b = seq({7, 2, 3});
-  PairAlignment result = needleman_wunsch(a, b, score, -1.0);
+  // No bound on the score: the full DP.
+  PairAlignment result = needleman_wunsch(
+      a, b, score, -1.0, std::numeric_limits<double>::infinity());
   EXPECT_EQ(result.a, a);
   EXPECT_EQ(result.b, b);
   EXPECT_DOUBLE_EQ(result.score, 6.0);
@@ -161,13 +165,15 @@ TEST(NeedlemanWunschBanded, CustomScoreMatchesFull) {
     a.push_back(s);
     if (!rng.chance(0.1)) b.push_back(s);
   }
-  PairAlignment full = needleman_wunsch(a, b, score, -1.0,
-                                        AlignmentEngine::kFull, 3.0);
-  PairAlignment banded = needleman_wunsch(a, b, score, -1.0,
-                                          AlignmentEngine::kBanded, 3.0);
+  PairAlignment full =
+      needleman_wunsch(a, b, score, -1.0, 3.0, AlignmentEngine::kFull);
+  PairAlignment banded =
+      needleman_wunsch(a, b, score, -1.0, 3.0, AlignmentEngine::kBanded);
   expect_same_alignment(full, banded);
-  // The two-argument overload is the full DP.
-  expect_same_alignment(full, needleman_wunsch(a, b, score, -1.0));
+  // With no bound (+infinity) the automatic choice is the full DP.
+  expect_same_alignment(
+      full, needleman_wunsch(a, b, score, -1.0,
+                             std::numeric_limits<double>::infinity()));
 }
 
 TEST(NeedlemanWunschBanded, IneligibleScoringFallsBackToFull) {

@@ -149,6 +149,14 @@ rc=0
 test "$rc" -eq 3
 grep -q "bad task count: 0" zero_tasks.err
 
+echo "== a task count above 2^20 is a parse error (exit 3), not an allocation =="
+printf '#PTT 1\napp huge\ntasks 4294967295\nburst 0 0 0.5 0 1 1 0 0 0\n' \
+    > huge_tasks.ptt
+rc=0
+"$TOOLS_DIR/perftrack" inspect huge_tasks.ptt 2> huge_tasks.err || rc=$?
+test "$rc" -eq 3
+grep -q "bad task count: 4294967295" huge_tasks.err
+
 echo "== missing input uses the io exit code =="
 rc=0
 "$TOOLS_DIR/perftrack" track nonexistent.ptt hydroc_sample.ptt \

@@ -76,14 +76,5 @@ TEST(ScatterTest, BadAxisThrows) {
   EXPECT_THROW(ascii_scatter(frame, options), PreconditionError);
 }
 
-TEST(ScatterTest, CsvHasOneRowPerClusteredBurst) {
-  Frame frame = sample_frame();
-  std::string csv = scatter_csv(frame);
-  std::size_t lines = std::count(csv.begin(), csv.end(), '\n');
-  EXPECT_EQ(lines, 1u + frame.projection().size());  // header + rows
-  EXPECT_NE(csv.find("Instructions"), std::string::npos);
-  EXPECT_NE(csv.find("IPC"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace perftrack::cluster

@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -18,7 +17,6 @@ TEST(TableTest, AddRowChecksWidth) {
   EXPECT_THROW(t.add_row({"only one"}), PreconditionError);
   t.add_row({"1", "2"});
   EXPECT_EQ(t.row_count(), 1u);
-  EXPECT_EQ(t.at(0, 1), "2");
 }
 
 TEST(TableTest, IncrementalRows) {
@@ -58,41 +56,6 @@ TEST(TableTest, TextAlignsColumns) {
   // Header line, underline, one data row.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
   EXPECT_NE(text.find("---------"), std::string::npos);
-}
-
-TEST(TableTest, CsvEscaping) {
-  Table t({"plain", "with,comma"});
-  t.add_row({"a\"b", "c,d"});
-  std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"a\"\"b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"c,d\""), std::string::npos);
-}
-
-TEST(TableTest, SaveCsvRoundTrip) {
-  Table t({"k", "v"});
-  t.add_row({"answer", "42"});
-  std::string path = ::testing::TempDir() + "/pt_table_test.csv";
-  t.save_csv(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k,v");
-  std::getline(in, line);
-  EXPECT_EQ(line, "answer,42");
-  std::remove(path.c_str());
-}
-
-TEST(TableTest, SaveCsvBadPathThrows) {
-  Table t({"a"});
-  EXPECT_THROW(t.save_csv("/nonexistent-dir-xyz/file.csv"), IoError);
-}
-
-TEST(TableTest, AtOutOfRangeThrows) {
-  Table t({"a"});
-  t.add_row({"1"});
-  EXPECT_THROW(t.at(1, 0), PreconditionError);
-  EXPECT_THROW(t.at(0, 1), PreconditionError);
 }
 
 }  // namespace

@@ -89,11 +89,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   };
   const double gap_penalty = -0.5 - 0.25 * (r.u8() % 8);
   PairAlignment full_custom = perftrack::align::needleman_wunsch(
-      a, b, pair_score, gap_penalty, AlignmentEngine::kFull,
-      /*max_pair_score=*/2.0 + bonus);
+      a, b, pair_score, gap_penalty, /*max_pair_score=*/2.0 + bonus,
+      AlignmentEngine::kFull);
   PairAlignment banded_custom = perftrack::align::needleman_wunsch(
-      a, b, pair_score, gap_penalty, AlignmentEngine::kBanded,
-      /*max_pair_score=*/2.0 + bonus);
+      a, b, pair_score, gap_penalty, /*max_pair_score=*/2.0 + bonus,
+      AlignmentEngine::kBanded);
   check(same(full_custom, banded_custom), "custom score overload");
 
   return 0;

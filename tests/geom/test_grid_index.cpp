@@ -1,3 +1,9 @@
+// The grid DBSCAN engine finds every eps-neighbourhood by scanning a
+// point's own cell (bucket) and the cells for_each_cell_in_reach visits,
+// and it merges each pair of neighbouring cells once, from the lower cell
+// id. These tests check that those two walks find exactly the pairs
+// within the radius that brute force and the reference kd-tree find.
+
 #include "geom/grid_index.hpp"
 
 #include <algorithm>
@@ -8,10 +14,12 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "geom/kdtree.hpp"
+#include "testing/kdtree.hpp"
 
 namespace perftrack::geom {
 namespace {
+
+using perftrack::testing::KdTree;
 
 PointSet random_points(std::size_t n, std::size_t dims, Rng& rng) {
   PointSet points(dims);
@@ -44,15 +52,56 @@ std::set<Pair> brute_pairs(const PointSet& points, double radius) {
   return out;
 }
 
-/// Collected pairs plus the invariant checks shared by every pair test:
-/// i < j, and no pair visited twice.
-std::set<Pair> collect_pairs(const GridIndex& grid, double radius) {
+/// Each point's cell, read back from the buckets.
+std::vector<std::size_t> cell_of_each_point(const GridIndex& grid) {
+  std::vector<std::size_t> cell(grid.size());
+  for (std::size_t c = 0; c < grid.cell_count(); ++c)
+    for (std::uint32_t p : grid.bucket(c)) cell[p] = c;
+  return cell;
+}
+
+/// The points within `radius` of point `p`, ascending, as the grid engine
+/// finds them: p's own cell plus every cell in reach of it.
+std::vector<std::size_t> reach_neighbours(const GridIndex& grid,
+                                          const PointSet& points,
+                                          std::size_t p, double radius) {
+  const std::size_t cell = cell_of_each_point(grid)[p];
+  std::vector<std::size_t> out;
+  auto scan = [&](std::size_t c) {
+    for (std::uint32_t q : grid.bucket(c))
+      if (squared_distance(points[p], points[q]) <= radius * radius)
+        out.push_back(q);
+  };
+  scan(cell);
+  grid.for_each_cell_in_reach(cell, radius, scan);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The pairs (i, j), i < j, within `radius`, as the grid engine's merge
+/// walks them: pairs inside one cell, then each cell with every cell in
+/// reach that has a higher id. Checks that no pair comes up twice.
+std::set<Pair> collect_pairs(const GridIndex& grid, const PointSet& points,
+                             double radius) {
   std::set<Pair> seen;
-  grid.for_each_pair_within(radius, [&](std::size_t i, std::size_t j) {
-    EXPECT_LT(i, j);
-    EXPECT_TRUE(seen.insert({i, j}).second)
-        << "pair (" << i << ", " << j << ") visited twice";
-  });
+  auto visit = [&](std::uint32_t a, std::uint32_t b) {
+    if (squared_distance(points[a], points[b]) > radius * radius) return;
+    const Pair pair{std::min(a, b), std::max(a, b)};
+    EXPECT_TRUE(seen.insert(pair).second)
+        << "pair (" << pair.first << ", " << pair.second << ") seen twice";
+  };
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    const auto bucket = grid.bucket(c);
+    if (bucket.empty()) continue;
+    for (std::size_t s = 0; s < bucket.size(); ++s)
+      for (std::size_t t = s + 1; t < bucket.size(); ++t)
+        visit(bucket[s], bucket[t]);
+    grid.for_each_cell_in_reach(c, radius, [&](std::size_t other) {
+      if (other < c) return;
+      for (std::uint32_t a : bucket)
+        for (std::uint32_t b : grid.bucket(other)) visit(a, b);
+    });
+  }
   return seen;
 }
 
@@ -60,19 +109,16 @@ TEST(GridIndexTest, EmptySet) {
   PointSet points(2);
   GridIndex grid(points, 0.1);
   EXPECT_EQ(grid.size(), 0u);
-  EXPECT_TRUE(grid.radius_query(std::vector<double>{0.5, 0.5}, 1.0).empty());
-  int calls = 0;
-  grid.for_each_pair_within(1.0, [&](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(grid.cell_count(), 1u);
+  EXPECT_TRUE(grid.bucket(0).empty());
+  EXPECT_TRUE(collect_pairs(grid, points, 1.0).empty());
 }
 
 TEST(GridIndexTest, RejectsBadArguments) {
   PointSet points(2, {0.0, 0.0});
   EXPECT_THROW(GridIndex(points, 0.0), PreconditionError);
   GridIndex grid(points, 0.1);
-  EXPECT_THROW(grid.radius_query(std::vector<double>{0.0}, 1.0),
-               PreconditionError);
-  EXPECT_THROW(grid.radius_query(std::vector<double>{0.0, 0.0}, -0.1),
+  EXPECT_THROW(grid.for_each_cell_in_reach(0, -0.1, [](std::size_t) {}),
                PreconditionError);
 }
 
@@ -80,12 +126,12 @@ TEST(GridIndexTest, AllDuplicatePoints) {
   PointSet points(2);
   for (int i = 0; i < 40; ++i) points.add(std::vector<double>{1.0, 1.0});
   GridIndex grid(points, 0.05);
-  // Radius zero still hits every duplicate, ascending.
-  auto hits = grid.radius_query(std::vector<double>{1.0, 1.0}, 0.0);
+  // Radius zero still finds every duplicate, ascending.
+  auto hits = reach_neighbours(grid, points, 17, 0.0);
   ASSERT_EQ(hits.size(), 40u);
   EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end()));
   // Every unordered pair coincides, so all C(40, 2) come out exactly once.
-  EXPECT_EQ(collect_pairs(grid, 0.0).size(), 40u * 39u / 2u);
+  EXPECT_EQ(collect_pairs(grid, points, 0.0).size(), 40u * 39u / 2u);
 }
 
 TEST(GridIndexTest, CollinearPoints) {
@@ -96,10 +142,11 @@ TEST(GridIndexTest, CollinearPoints) {
   KdTree tree(points);
   for (double radius : {0.0, 0.02, 0.05, 0.3}) {
     for (int q = 0; q < 50; q += 7) {
-      EXPECT_EQ(grid.radius_query(points[q], radius),
+      EXPECT_EQ(reach_neighbours(grid, points, q, radius),
                 tree.radius_query(points[q], radius));
     }
-    EXPECT_EQ(collect_pairs(grid, radius), brute_pairs(points, radius));
+    EXPECT_EQ(collect_pairs(grid, points, radius),
+              brute_pairs(points, radius));
   }
 }
 
@@ -108,19 +155,10 @@ TEST(GridIndexTest, BoundaryExactlyAtRadiusIsInclusive) {
   // candidate sits in a neighbouring cell.
   PointSet points(2, {0.0, 0.0, 0.025, 0.0, 0.05, 0.0});
   GridIndex grid(points, 0.025);
-  auto hits = grid.radius_query(std::vector<double>{0.0, 0.0}, 0.025);
-  EXPECT_EQ(hits, (std::vector<std::size_t>{0, 1}));
-  auto pairs = collect_pairs(grid, 0.025);
+  EXPECT_EQ(reach_neighbours(grid, points, 0, 0.025),
+            (std::vector<std::size_t>{0, 1}));
+  auto pairs = collect_pairs(grid, points, 0.025);
   EXPECT_EQ(pairs, (std::set<Pair>{{0, 1}, {1, 2}}));
-}
-
-TEST(GridIndexTest, QueryOutsideTheDataBox) {
-  PointSet points(2, {0.4, 0.4, 0.6, 0.6});
-  GridIndex grid(points, 0.05);
-  EXPECT_TRUE(
-      grid.radius_query(std::vector<double>{-5.0, -5.0}, 0.5).empty());
-  EXPECT_EQ(grid.radius_query(std::vector<double>{-5.0, -5.0}, 20.0).size(),
-            2u);
 }
 
 TEST(GridIndexTest, ConstructorRejectsOverflowingCellTables) {
@@ -167,8 +205,9 @@ TEST(GridIndexTest, ReachableCellsSeeEveryNonEmptyNeighbour) {
   EXPECT_TRUE(seen.empty());
 }
 
-// Property tests: grid results must exactly match brute force and the
-// kd-tree (same inclusive-boundary, ascending-order contract).
+// Property tests: neighbourhoods through the grid must exactly match brute
+// force and the kd-tree (same inclusive-boundary, ascending-order
+// contract), for every point of the set.
 struct GridCase {
   std::size_t n;
   std::size_t dims;
@@ -185,12 +224,10 @@ TEST_P(GridIndexProperty, RadiusMatchesBruteForceAndKdTree) {
   GridIndex grid(points, cell);
   KdTree tree(points, /*leaf_size=*/4);
   for (double radius : {0.0, 0.01, 0.1, 0.3, 2.0}) {
-    for (int q = 0; q < 10; ++q) {
-      std::vector<double> query(dims);
-      for (auto& c : query) c = rng.uniform(-0.2, 1.2);
-      auto expected = brute_radius(points, query, radius);
-      EXPECT_EQ(grid.radius_query(query, radius), expected);
-      EXPECT_EQ(tree.radius_query(query, radius), expected);
+    for (std::size_t p = 0; p < n; p += 1 + n / 25) {
+      auto expected = brute_radius(points, points[p], radius);
+      EXPECT_EQ(reach_neighbours(grid, points, p, radius), expected);
+      EXPECT_EQ(tree.radius_query(points[p], radius), expected);
     }
   }
 }
@@ -201,7 +238,8 @@ TEST_P(GridIndexProperty, PairEnumerationMatchesBruteForce) {
   PointSet points = random_points(n, dims, rng);
   GridIndex grid(points, cell);
   for (double radius : {0.01, 0.1, 0.5}) {
-    EXPECT_EQ(collect_pairs(grid, radius), brute_pairs(points, radius));
+    EXPECT_EQ(collect_pairs(grid, points, radius),
+              brute_pairs(points, radius));
   }
 }
 

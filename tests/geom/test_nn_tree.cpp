@@ -1,24 +1,34 @@
-// NnTree must answer nearest() with the exact KdTree::nearest contract —
-// closest point, ties broken by the lowest row index — for every input the
-// displacement evaluator can produce. The cross-checks below pin it against
-// brute force and the kd-tree, including the shapes where a '>=' prune or a
-// box that rounds past its points would silently pick a different, equally
-// near point: duplicates, ties across a split, points on a box face, and
-// hints that tie with a lower row.
+// NnTree must answer its three queries exactly, for every input the
+// displacement evaluator, DBSCAN's tree engine and autotune can produce:
+//   * nearest(): KdTree::nearest's contract — closest point, ties broken by
+//     the lowest row index;
+//   * radius_query(): every row within the radius, boundary included, in
+//     ascending order — KdTree::radius_query's contract;
+//   * k_nearest(): the first k rows by (squared distance, row), a NaN
+//     distance ordering as +infinity.
+// The cross-checks below pin them against brute force and the reference
+// kd-tree (tests/testing/kdtree.hpp), including the shapes where a '>='
+// prune or a box that rounds past its points would silently drop or swap a
+// row: duplicates, ties across a split, points on a box face or exactly on
+// the radius, hints that tie with a lower row, and non-finite coordinates.
 
 #include "geom/nn_tree.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "geom/kdtree.hpp"
+#include "testing/kdtree.hpp"
 
 namespace perftrack::geom {
 namespace {
+
+using perftrack::testing::KdTree;
 
 PointSet random_points(std::size_t n, std::size_t dims, Rng& rng) {
   PointSet points(dims);
@@ -51,6 +61,44 @@ std::size_t brute_nearest(const PointSet& points,
   return best;
 }
 
+std::vector<std::size_t> brute_radius(const PointSet& points,
+                                      std::span<const double> query,
+                                      double radius) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    if (squared_distance(query, points[i]) <= radius * radius)
+      out.push_back(i);
+  return out;
+}
+
+/// The first k rows by (squared distance, row), a NaN distance keyed as
+/// +infinity.
+std::vector<std::size_t> brute_knn(const PointSet& points,
+                                   std::span<const double> query,
+                                   std::size_t k) {
+  std::vector<double> key(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double d2 = squared_distance(query, points[i]);
+    key[i] = std::isnan(d2) ? std::numeric_limits<double>::infinity() : d2;
+  }
+  std::vector<std::size_t> rows(points.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  std::stable_sort(rows.begin(), rows.end(), [&](std::size_t a,
+                                                 std::size_t b) {
+    return key[a] < key[b];
+  });
+  rows.resize(std::min(k, rows.size()));
+  return rows;
+}
+
+std::vector<std::size_t> radius_of(const NnTree& tree,
+                                   std::span<const double> query,
+                                   double radius) {
+  std::vector<std::size_t> out{12345};  // radius_query clears it first
+  tree.radius_query(query, radius, out);
+  return out;
+}
+
 TEST(NnTreeTest, SinglePoint) {
   PointSet points(2, {0.5, 0.5});
   NnTree tree(points);
@@ -62,12 +110,40 @@ TEST(NnTreeTest, SinglePoint) {
 TEST(NnTreeTest, QueryErrors) {
   PointSet points(2, {0.0, 0.0});
   NnTree tree(points);
+  std::vector<std::size_t> out;
   EXPECT_THROW(tree.nearest(std::vector<double>{0.0}), PreconditionError);
+  EXPECT_THROW(tree.radius_query(std::vector<double>{0.0, 0.0, 0.0}, 1.0,
+                                 out),
+               PreconditionError);
+  EXPECT_THROW(tree.radius_query(std::vector<double>{0.0, 0.0}, -0.1, out),
+               PreconditionError);
+  EXPECT_THROW(tree.k_nearest(std::vector<double>{0.0}, 1),
+               PreconditionError);
   PointSet none(2);
   NnTree empty(none);
   EXPECT_TRUE(empty.empty());
   EXPECT_THROW(empty.nearest(std::vector<double>{0.0, 0.0}),
                PreconditionError);
+  EXPECT_THROW(empty.radius_query(std::vector<double>{0.0}, 1.0, out),
+               PreconditionError);
+  EXPECT_THROW(empty.k_nearest(std::vector<double>{0.0}, 1),
+               PreconditionError);
+}
+
+TEST(NnTreeTest, EmptyTreeAnswersNoRows) {
+  PointSet none(2);
+  NnTree empty(none);
+  EXPECT_TRUE(radius_of(empty, std::vector<double>{0.0, 0.0}, 1.0).empty());
+  EXPECT_TRUE(empty.k_nearest(std::vector<double>{0.0, 0.0}, 3).empty());
+}
+
+TEST(NnTreeTest, KnnClampsAndHandlesZero) {
+  PointSet points(1, {0.0, 1.0, 2.0});
+  NnTree tree(points);
+  EXPECT_TRUE(tree.k_nearest(std::vector<double>{0.0}, 0).empty());
+  auto all = tree.k_nearest(std::vector<double>{0.9}, 99);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all, (std::vector<std::size_t>{1, 0, 2}));  // 1.0 is nearest
 }
 
 TEST(NnTreeTest, DuplicatePointsTieToLowestIndex) {
@@ -79,6 +155,33 @@ TEST(NnTreeTest, DuplicatePointsTieToLowestIndex) {
   EXPECT_EQ(tree.nearest(std::vector<double>{1.0, 1.0}), 0u);
   EXPECT_EQ(tree.nearest(std::vector<double>{0.0, 0.0}), 0u);
   EXPECT_EQ(tree.nearest(std::vector<double>{0.0, 0.0}, 39), 0u);
+  // Radius zero still finds every duplicate, ascending; k-NN ties go by
+  // row.
+  std::vector<std::size_t> all(40);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  EXPECT_EQ(radius_of(tree, std::vector<double>{1.0, 1.0}, 0.0), all);
+  EXPECT_TRUE(radius_of(tree, std::vector<double>{0.0, 0.0}, 1.0).empty());
+  EXPECT_EQ(tree.k_nearest(std::vector<double>{0.0, 0.0}, 5),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(tree.k_nearest(std::vector<double>{1.0, 1.0}, 40), all);
+}
+
+TEST(NnTreeTest, RadiusBoundaryIsInclusiveAcrossLeaves) {
+  // 129 points a quarter apart on a line, so the ball's two boundary
+  // points (exactly 1.0 away, four steps each way) and the points one
+  // step beyond them sit in different leaves from the query's.
+  PointSet points(1);
+  for (int i = 0; i < 129; ++i)
+    points.add(std::vector<double>{0.25 * ((i * 37) % 129)});
+  NnTree tree(points);
+  KdTree kd(points);
+  for (double centre : {0.0, 8.0, 16.0, 32.0}) {
+    const std::vector<double> query{centre};
+    const std::vector<std::size_t> hits = radius_of(tree, query, 1.0);
+    EXPECT_EQ(hits, brute_radius(points, query, 1.0)) << centre;
+    EXPECT_EQ(hits, kd.radius_query(query, 1.0)) << centre;
+    EXPECT_EQ(hits.size(), centre == 0.0 || centre == 32.0 ? 5u : 9u);
+  }
 }
 
 TEST(NnTreeTest, EquidistantPointsOnBothSidesOfASplitTieToLowestIndex) {
@@ -168,6 +271,32 @@ TEST(NnTreeTest, TightClustersQueriedFromFarOutside) {
   }
 }
 
+TEST(NnTreeTest, NonFiniteCoordinatesInRadiusAndKnnMatchBruteForce) {
+  // ±inf and NaN coordinates: an infinite point is infinitely far (so
+  // only an infinite radius reaches it), a NaN point is within no radius,
+  // and k-NN orders both after every finite distance, by row.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t dims = 1; dims <= 3; ++dims) {
+    Rng rng(31 + dims);
+    PointSet points = random_points(150, dims, rng);
+    for (std::size_t row : {3, 40, 41, 99}) points.mutable_point(row)[0] = inf;
+    for (std::size_t row : {7, 77}) points.mutable_point(row)[dims - 1] = -inf;
+    for (std::size_t row : {12, 13, 120}) points.mutable_point(row)[0] = nan;
+    NnTree tree(points);
+    for (int q = 0; q < 40; ++q) {
+      const std::vector<double> query = random_query(dims, -0.5, 1.5, rng);
+      for (double radius : {0.05, 0.3, 5.0, inf})
+        EXPECT_EQ(radius_of(tree, query, radius),
+                  brute_radius(points, query, radius))
+            << dims << "-D, radius " << radius;
+      for (std::size_t k : {1, 7, 145, 150})
+        EXPECT_EQ(tree.k_nearest(query, k), brute_knn(points, query, k))
+            << dims << "-D, k " << k;
+    }
+  }
+}
+
 TEST(NnTreeTest, InfiniteCoordinatesMatchKdTree) {
   // A coordinate the kd-tree answers for, so the one engine must too.
   const double inf = std::numeric_limits<double>::infinity();
@@ -201,6 +330,44 @@ struct NnTreeCase {
 
 class NnTreeProperty : public ::testing::TestWithParam<NnTreeCase> {};
 
+TEST_P(NnTreeProperty, RadiusMatchesBruteForceAndKdTree) {
+  auto [n, dims, seed] = GetParam();
+  Rng rng(seed + 1000);
+  PointSet points = random_points(n, dims, rng);
+  NnTree tree(points);
+  KdTree kd(points, /*leaf_size=*/4);
+  for (double radius : {0.0, 0.01, 0.1, 0.3, 2.0}) {
+    for (int q = 0; q < 10; ++q) {
+      const std::vector<double> query = random_query(dims, -0.2, 1.2, rng);
+      const std::vector<std::size_t> expected =
+          brute_radius(points, query, radius);
+      EXPECT_EQ(radius_of(tree, query, radius), expected);
+      EXPECT_EQ(kd.radius_query(query, radius), expected);
+    }
+    // DBSCAN's case: the query is one of the points.
+    for (std::size_t i = 0; i < n; i += 7)
+      EXPECT_EQ(radius_of(tree, points[i], radius),
+                brute_radius(points, points[i], radius));
+  }
+}
+
+TEST_P(NnTreeProperty, KnnMatchesBruteForce) {
+  auto [n, dims, seed] = GetParam();
+  Rng rng(seed + 5000);
+  PointSet points = random_points(n, dims, rng);
+  NnTree tree(points);
+  for (std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{20}}) {
+    for (int q = 0; q < 10; ++q) {
+      const std::vector<double> query = random_query(dims, 0.0, 1.0, rng);
+      EXPECT_EQ(tree.k_nearest(query, k), brute_knn(points, query, k));
+    }
+    // Autotune's case: the query is one of the points.
+    for (std::size_t i = 0; i < n; i += 7)
+      EXPECT_EQ(tree.k_nearest(points[i], k),
+                brute_knn(points, points[i], k));
+  }
+}
+
 TEST_P(NnTreeProperty, NearestMatchesBruteForceAndKdTree) {
   auto [n, dims, seed] = GetParam();
   Rng rng(seed);
@@ -227,12 +394,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(NnTreeCase{1, 2, 1}, NnTreeCase{2, 2, 2},
                       NnTreeCase{17, 2, 3}, NnTreeCase{100, 2, 4},
                       NnTreeCase{500, 2, 5}, NnTreeCase{100, 3, 6},
-                      NnTreeCase{999, 1, 8}, NnTreeCase{300, 4, 9},
-                      NnTreeCase{300, 5, 10}));
+                      NnTreeCase{100, 5, 7}, NnTreeCase{999, 1, 8},
+                      NnTreeCase{300, 4, 9}, NnTreeCase{300, 5, 10}));
 
 TEST(NnTreeTest, QuantisedCoordinatesWithManyTies) {
   // Coordinates on a coarse lattice: most queries have several nearest
-  // points at exactly the same distance, in every dimension count.
+  // points at exactly the same distance, many rows lie exactly on a
+  // radius (lattice steps are exact in binary), and most k-th distances
+  // are shared by several rows, in every dimension count.
   for (std::size_t dims = 1; dims <= 5; ++dims) {
     Rng rng(100 + dims);
     PointSet points(dims);
@@ -249,6 +418,15 @@ TEST(NnTreeTest, QuantisedCoordinatesWithManyTies) {
       const std::size_t expected = brute_nearest(points, query);
       EXPECT_EQ(tree.nearest(query), expected) << dims << "-D";
       EXPECT_EQ(kd.nearest(query), expected) << dims << "-D";
+      for (double radius : {0.0, 0.25, 0.375, 0.5}) {
+        const std::vector<std::size_t> within =
+            brute_radius(points, query, radius);
+        EXPECT_EQ(radius_of(tree, query, radius), within) << dims << "-D";
+        EXPECT_EQ(kd.radius_query(query, radius), within) << dims << "-D";
+      }
+      for (std::size_t k : {std::size_t{1}, std::size_t{6}, std::size_t{50}})
+        EXPECT_EQ(tree.k_nearest(query, k), brute_knn(points, query, k))
+            << dims << "-D";
     }
   }
 }

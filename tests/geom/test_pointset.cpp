@@ -43,24 +43,20 @@ TEST(PointSetTest, MutablePoint) {
   EXPECT_DOUBLE_EQ(points[0][1], 9.0);
 }
 
-TEST(PointSetTest, CornersAndCentroid) {
+TEST(PointSetTest, Corners) {
   PointSet points(2, {0.0, 10.0, 4.0, -2.0, 2.0, 4.0});
   auto lo = points.min_corner();
   auto hi = points.max_corner();
-  auto c = points.centroid();
   EXPECT_DOUBLE_EQ(lo[0], 0.0);
   EXPECT_DOUBLE_EQ(lo[1], -2.0);
   EXPECT_DOUBLE_EQ(hi[0], 4.0);
   EXPECT_DOUBLE_EQ(hi[1], 10.0);
-  EXPECT_DOUBLE_EQ(c[0], 2.0);
-  EXPECT_DOUBLE_EQ(c[1], 4.0);
 }
 
 TEST(PointSetTest, EmptyCornersAreZero) {
   PointSet points(3);
   EXPECT_EQ(points.min_corner(), std::vector<double>(3, 0.0));
   EXPECT_EQ(points.max_corner(), std::vector<double>(3, 0.0));
-  EXPECT_EQ(points.centroid(), std::vector<double>(3, 0.0));
 }
 
 TEST(DistanceTest, Euclidean) {

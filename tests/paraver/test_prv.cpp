@@ -89,6 +89,32 @@ TEST(PrvRead, MissingHeaderThrows) {
   EXPECT_THROW(detail::read_prv_streams(prv, pcf), ParseError);
 }
 
+TEST(PrvRead, TaskCountAboveTheCapIsAFatalHeaderError) {
+  // 2^32 + 1 was once truncated to 1 task; 2^32 - 1 fits 32 bits but a
+  // Trace sizes one index per task. Both are fatal in both modes, before
+  // anything is allocated.
+  for (const char* count : {"4294967297", "4294967295", "1048577"}) {
+    SCOPED_TRACE(count);
+    const std::string text =
+        std::string("#Paraver (01/01/2026 at 00:00):1000_ns:1(1):1:") +
+        count + "(1:1)\n1:1:1:1:1:0:100:1\n";
+    const std::string message = std::string("header declares ") + count +
+                                " tasks, above the limit of 1048576";
+    std::stringstream prv(text), pcf;
+    try {
+      detail::read_prv_streams(prv, pcf);
+      ADD_FAILURE() << "strict read accepted the header";
+    } catch (const ParseError& error) {
+      EXPECT_EQ(std::string(error.what()), message);
+    }
+    std::stringstream lenient_prv(text), lenient_pcf;
+    Diagnostics lenient = Diagnostics::lenient();
+    EXPECT_THROW(detail::read_prv_streams(lenient_prv, lenient_pcf, lenient),
+                 ParseError);
+    EXPECT_EQ(lenient.to_string(), "error: 1: [bad-header] " + message + "\n");
+  }
+}
+
 TEST(PrvRead, TaskOutOfRangeThrows) {
   std::stringstream prv(
       "#Paraver (01/01/2026 at 00:00):1000_ns:1(1):1:1(1:1)\n"

@@ -2,16 +2,16 @@
 // Reference displacement classification, the oracle for the production
 // sweep (tracking/evaluator_displacement.cpp).
 //
-// Every clustered row of one cloud is classified by geom::KdTree::nearest
-// over the other cloud, one row at a time: no cluster-level short-circuit,
-// no lazily built index, no chunking. The counts are turned into fractions
+// Every clustered row of one cloud is classified by KdTree::nearest
+// (testing/kdtree.hpp) over the other cloud, one row at a time: no
+// cluster-level short-circuit, no lazily built index, no chunking. The counts are turned into fractions
 // the way the production sweep does it, so the two must agree bitwise.
 // The identity tests and bench/perf_displacement compare against it.
 
 #include <cstdint>
 #include <vector>
 
-#include "geom/kdtree.hpp"
+#include "testing/kdtree.hpp"
 #include "tracking/evaluator_displacement.hpp"
 
 namespace perftrack::testing {
@@ -21,7 +21,7 @@ inline tracking::CorrelationMatrix reference_classify(
     const tracking::FrameCloud& to, std::size_t to_count) {
   tracking::CorrelationMatrix m(from_count, to_count);
   if (from.empty() || to.empty()) return m;
-  const geom::KdTree tree(to.points());
+  const KdTree tree(to.points());
   std::vector<std::uint64_t> total(from_count * to_count, 0);
   for (std::size_t row = 0; row < from.points().size(); ++row) {
     const std::size_t nearest = tree.nearest(from.points()[row]);

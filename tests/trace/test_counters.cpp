@@ -7,18 +7,6 @@
 namespace perftrack::trace {
 namespace {
 
-TEST(CounterTest, NamesRoundTrip) {
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    auto c = static_cast<Counter>(i);
-    EXPECT_EQ(counter_from_name(counter_name(c)), c);
-  }
-}
-
-TEST(CounterTest, UnknownNameThrows) {
-  EXPECT_THROW(counter_from_name("NOPE"), ParseError);
-  EXPECT_THROW(counter_from_name(""), ParseError);
-}
-
 TEST(CounterSetTest, DefaultsToZero) {
   CounterSet set;
   for (std::size_t i = 0; i < kCounterCount; ++i)

@@ -19,6 +19,13 @@ TEST(TraceTest, RequiresAtLeastOneTask) {
   EXPECT_THROW(Trace("app", 0), PreconditionError);
 }
 
+TEST(TraceTest, RejectsTaskCountsAboveTheCap) {
+  // Checked before the per-task index is sized, so no path allocates it.
+  EXPECT_THROW(Trace("app", kMaxTasks + 1), PreconditionError);
+  EXPECT_THROW(Trace("app", 4294967295u), PreconditionError);
+  EXPECT_EQ(Trace("app", kMaxTasks).num_tasks(), kMaxTasks);
+}
+
 TEST(TraceTest, LabelDefaultsToApplication) {
   Trace t("WRF", 4);
   EXPECT_EQ(t.label(), "WRF");

@@ -433,6 +433,49 @@ TEST(TraceIoLimits, TaskCountAbove32BitsIsABadNumber) {
             "(inferred 1 from bursts)\n");
 }
 
+TEST(TraceIoLimits, TaskCountAboveTheCapIsABadNumber) {
+  // 2^32 - 1 fits 32 bits, but a Trace sizes one index per task.
+  for (const char* count : {"4294967295", "1048577"}) {
+    SCOPED_TRACE(count);
+    const LimitOutcome out =
+        parse_both(std::string("#PTT 1\napp a\ntasks ") + count +
+                   "\nburst 0 0 0.5 0 1 1 0 0 0\n");
+    EXPECT_EQ(out.strict_error, std::string("line 3: bad task count: ") + count);
+    ASSERT_TRUE(out.lenient_trace.has_value());
+    EXPECT_EQ(out.lenient_trace->num_tasks(), 1u);
+    EXPECT_EQ(out.lenient_diagnostics,
+              std::string("error: 3: [bad-number] bad task count: ") + count +
+                  "\nwarning: [missing-tasks] trace missing 'tasks' record "
+                  "(inferred 1 from bursts)\n");
+  }
+  // The cap itself is a valid count.
+  const LimitOutcome at_cap =
+      parse_both("#PTT 1\napp a\ntasks 1048576\nburst 0 0 0.5 0 1 1 0 0 0\n");
+  EXPECT_EQ(at_cap.strict_error, "");
+  ASSERT_TRUE(at_cap.lenient_trace.has_value());
+  EXPECT_EQ(at_cap.lenient_trace->num_tasks(), kMaxTasks);
+}
+
+TEST(TraceIoLimits, InferredTaskCountAboveTheCapMakesTheTraceUnusable) {
+  // Without a 'tasks' record, lenient mode infers max task id + 1; a task
+  // id at or above the cap leaves no usable count, as no bursts do.
+  for (const char* task : {"4294967295", "1048576"}) {
+    SCOPED_TRACE(task);
+    const LimitOutcome out = parse_both(
+        std::string("#PTT 1\napp a\nburst 0 0 0.5 0 1 1 0 0 0\nburst ") +
+        task + " 0 0.5 0 1 1 0 0 0\n");
+    EXPECT_EQ(out.strict_error, "trace missing 'tasks' record");
+    EXPECT_FALSE(out.lenient_trace.has_value());
+    EXPECT_EQ(out.lenient_diagnostics,
+              "warning: [missing-tasks] trace missing 'tasks' record\n");
+  }
+  // The largest id under the cap infers the cap.
+  const LimitOutcome at_cap = parse_both(
+      "#PTT 1\napp a\nburst 1048575 0 0.5 0 1 1 0 0 0\n");
+  ASSERT_TRUE(at_cap.lenient_trace.has_value());
+  EXPECT_EQ(at_cap.lenient_trace->num_tasks(), kMaxTasks);
+}
+
 TEST(TraceIoLimits, TaskIdAbove32BitsIsABadBurst) {
   for (const char* task : {"4294967296", "4294967297"}) {
     SCOPED_TRACE(task);

@@ -30,17 +30,6 @@ TEST(CorrelationMatrixTest, ThresholdZeroesSmallCells) {
   EXPECT_DOUBLE_EQ(m.at(0, 2), 0.9);
 }
 
-TEST(CorrelationMatrixTest, NormalizeRows) {
-  CorrelationMatrix m(2, 2);
-  m.set(0, 0, 1.0);
-  m.set(0, 1, 3.0);
-  m.normalize_rows();
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.25);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 0.75);
-  // Zero row untouched.
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 0.0);
-}
-
 TEST(CorrelationMatrixTest, RowArgmax) {
   CorrelationMatrix m(2, 3);
   m.set(0, 2, 0.6);

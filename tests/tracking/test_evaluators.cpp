@@ -209,8 +209,6 @@ TEST(CallstackEvaluator, SharedLocationLinksObjects) {
   EXPECT_DOUBLE_EQ(cs.at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(cs.at(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(cs.at(1, 1), 1.0);
-  EXPECT_TRUE(share_code_reference(fa, 0, fb, 0));
-  EXPECT_FALSE(share_code_reference(fa, 0, fb, 1));
 }
 
 TEST(CallstackEvaluator, TwoPhasesSharingOneLineBothMatch) {
@@ -271,30 +269,6 @@ TEST(SequenceEvaluator, ContradictingPivotsScoreNothing) {
   // The aligner must honour the (crossed) pivots, not the natural order.
   EXPECT_DOUBLE_EQ(seq.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(seq.at(1, 1), 0.0);
-}
-
-TEST(SequenceEvaluator, BandedEngineMatchesFullDp) {
-  // The evaluator's pivot-scored custom DP must be engine-independent:
-  // the banded run (certified against the 3.0 pivot-match bound) and the
-  // full DP must produce cell-identical correlation matrices.
-  MiniTraceSpec a;
-  a.label = "A";
-  a.phases = {MiniPhase{8e6, 1.0, {"p1", "x.c", 1}},
-              MiniPhase{3e6, 1.5, {"p2", "x.c", 2}},
-              MiniPhase{1e6, 0.5, {"p3", "x.c", 3}}};
-  MiniTraceSpec b = a;
-  b.label = "B";
-  cluster::Frame fa = frame_of(a), fb = frame_of(b);
-  FrameAlignment align_a(fa), align_b(fb);
-
-  RelationSet pivots;
-  pivots.relations.push_back(Relation{{0}, {0}});
-  CorrelationMatrix full = evaluate_sequence(
-      fa, align_a, fb, align_b, pivots, 0.05, align::AlignmentEngine::kFull);
-  CorrelationMatrix banded =
-      evaluate_sequence(fa, align_a, fb, align_b, pivots, 0.05,
-                        align::AlignmentEngine::kBanded);
-  EXPECT_TRUE(full == banded);
 }
 
 }  // namespace

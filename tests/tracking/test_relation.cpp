@@ -23,7 +23,6 @@ TEST(RelationSetTest, Lookups) {
   EXPECT_EQ(set.find_by_left(0), 0);
   EXPECT_EQ(set.find_by_left(2), 1);
   EXPECT_EQ(set.find_by_left(9), -1);
-  EXPECT_EQ(set.find_by_right(2), 1);
   EXPECT_TRUE(set.related(0, 1));
   EXPECT_TRUE(set.related(1, 0));
   EXPECT_FALSE(set.related(0, 0));
