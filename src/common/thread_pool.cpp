@@ -1,15 +1,53 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <map>
 #include <memory>
+#include <new>
+#include <utility>
 
 namespace perftrack {
 
 namespace {
 
-/// Pool the current thread works for, if any (the reentrancy guard).
-thread_local const ThreadPool* t_worker_of = nullptr;
+/// One parallel_for in flight, shared by its caller and its helper tasks.
+/// A helper that starts after the caller returned finds the counter
+/// drained, so it never touches `body`, whose frame is gone by then.
+struct Loop {
+  Loop(std::size_t begin, std::size_t end,
+       const std::function<void(std::size_t)>& body)
+      : end(end), body(body), next(begin), unsettled(end - begin) {}
+
+  /// Run claimed indices until none is left to claim.
+  void drain() {
+    for (std::size_t i; (i = next.fetch_add(1)) < end;) {
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!error || i < failed) {
+          failed = i;
+          error = std::current_exception();
+        }
+      }
+      if (unsettled.fetch_sub(1) == 1) {
+        std::lock_guard<std::mutex> lock(mutex);
+        settled.notify_all();
+      }
+    }
+  }
+
+  const std::size_t end;
+  const std::function<void(std::size_t)>& body;
+  std::atomic<std::size_t> next;
+  std::atomic<std::size_t> unsettled;
+  std::mutex mutex;
+  std::condition_variable settled;
+  std::size_t failed = 0;  ///< lowest index that threw, if `error`
+  std::exception_ptr error;
+};
 
 }  // namespace
 
@@ -29,68 +67,51 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::run_inline() const {
-  return workers_.empty() || t_worker_of == this;
-}
-
 void ThreadPool::worker_loop() {
-  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain before stopping so the destructor never abandons a task
-      // (submitted work always completes).
+      // Drain before stopping so the destructor never abandons a task.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // packaged_task: exceptions land in the future
+    task();  // Loop::drain: body exceptions land in the loop state
   }
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  // A single iteration gains nothing from a worker handoff — and running
-  // it on the caller keeps the caller OFF the worker set, so any nested
-  // parallel_for inside the body can still fan out instead of tripping
-  // the reentrancy guard. (A one-pair retrack parallelises its inner
-  // classification sweep this way.)
-  if (end - begin == 1) {
-    body(begin);
-    return;
-  }
-  if (run_inline()) {
+  if (workers_.empty() || end - begin == 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  std::vector<std::future<void>> pending;
-  pending.reserve(end - begin);
-  // If submission itself fails mid-loop (allocation), hold the exception
-  // until every already-queued task has settled: the pool outlives this
-  // call, so a task left in the queue would run against `body` and the
-  // caller's locals after their frames unwound. `pending` is pre-reserved,
-  // so a task is queued iff its future landed in `pending`.
-  std::exception_ptr submit_error;
+  const auto loop = std::make_shared<Loop>(begin, end, body);
+  const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
   try {
-    for (std::size_t i = begin; i < end; ++i)
-      pending.push_back(submit([&body, i] { body(i); }));
-  } catch (...) {
-    submit_error = std::current_exception();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t h = 0; h < helpers; ++h)
+      queue_.emplace_back([loop] { loop->drain(); });
+  } catch (const std::bad_alloc&) {
+    // Helpers only add hands: the caller claims whatever they leave.
   }
-  // Wait for everything first, then rethrow the lowest-index failure, so
-  // no task can still be touching caller state when we unwind.
-  for (std::future<void>& f : pending) f.wait();
-  if (submit_error) std::rethrow_exception(submit_error);
-  for (std::future<void>& f : pending) f.get();
+  for (std::size_t h = 0; h < helpers; ++h) wake_.notify_one();
+  loop->drain();
+  // Every index is claimed now. Wait for those still running elsewhere, so
+  // nothing touches `body` or the caller's slots once this returns, and take
+  // the exception out, so this thread frees it and not a late helper.
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->settled.wait(lock, [&] { return loop->unsettled.load() == 0; });
+  if (loop->error) std::rethrow_exception(std::exchange(loop->error, {}));
 }
 
 ThreadPool& ThreadPool::shared(std::size_t threads) {
   if (threads < 1) threads = 1;
   // Heap-allocated and never freed, so no static destructor joins workers
-  // while another thread may still be submitting.
+  // while another thread may still be queueing.
   struct Pools {
     std::mutex mutex;
     std::map<std::size_t, std::unique_ptr<ThreadPool>> by_count;

@@ -1,12 +1,12 @@
 #pragma once
-// Fixed-size thread pool with a futures / parallel_for API.
+// Fixed-size thread pool with one entry point, parallel_for.
 //
 // The tracking workflow is a frame pipeline: every experiment clusters
 // independently and every adjacent frame pair tracks independently, so both
 // stages are embarrassingly parallel. The pool keeps that parallelism
-// deterministic-by-construction: callers submit tasks whose outputs land in
-// pre-sized slots, so the result of a run never depends on scheduling
-// order, only on the task bodies themselves.
+// deterministic-by-construction: loop bodies write to pre-sized slots, so
+// the result of a run never depends on scheduling order, only on the
+// bodies themselves.
 //
 //   ThreadPool& pool = ThreadPool::shared(ThreadPool::resolve(params.threads));
 //   pool.parallel_for(0, frames.size(),
@@ -17,68 +17,50 @@
 // threads, and concurrent callers (perftrackd connection threads tracking
 // different studies) share its workers.
 //
-// A pool of one thread spawns no workers at all: every task runs inline on
-// the calling thread, in submission order — bit-for-bit the serial
-// behaviour, which is what makes `--threads 1` a faithful baseline.
+// A pool of one thread spawns no workers at all: every loop runs inline on
+// the calling thread, in index order — bit-for-bit the serial behaviour,
+// which is what makes `--threads 1` a faithful baseline.
 //
-// Reentrancy guard: a task submitted from one of the pool's own workers
-// runs inline on that worker instead of queueing. A worker blocking on the
-// future of a task stuck behind it in the queue would deadlock the pool;
-// inline execution makes nested submission safe (if serial).
+// Claim rule: the caller and up to min(workers, n - 1) queued helper tasks
+// take a loop's indices from one counter, so the caller computes too and a
+// loop issued from inside a body fans out like any other. A thread only
+// waits for indices another thread is running, and a thread blocked in a
+// body never takes a helper task, so nested loops cannot deadlock.
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace perftrack {
 
 class ThreadPool {
 public:
-  /// Create `threads` workers. 0 and 1 both mean "no workers": submit()
-  /// and parallel_for() execute inline on the calling thread.
+  /// Create `threads` workers. 0 and 1 both mean "no workers":
+  /// parallel_for() executes inline on the calling thread.
   explicit ThreadPool(std::size_t threads);
 
-  /// Joins after draining the queue: every submitted task completes.
+  /// Joins after draining the queue: every queued helper task runs.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Workers available to run tasks (>= 1; 1 means inline execution).
+  /// Workers available to run helper tasks (>= 1; 1 means inline
+  /// execution).
   std::size_t thread_count() const {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// Schedule `task`; the future carries its result or exception. Runs
-  /// inline when the pool has no workers or the caller is one of them.
-  template <typename F>
-  auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-    using Result = std::invoke_result_t<F>;
-    auto packaged = std::make_shared<std::packaged_task<Result()>>(
-        std::forward<F>(task));
-    std::future<Result> future = packaged->get_future();
-    if (run_inline()) {
-      (*packaged)();
-      return future;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([packaged] { (*packaged)(); });
-    }
-    wake_.notify_one();
-    return future;
-  }
-
-  /// Run body(i) for every i in [begin, end) and wait for all of them.
+  /// Run body(i) for every i in [begin, end) and wait for all of them,
+  /// claiming indices on the calling thread as well as on the workers.
   /// Exceptions propagate after every index has settled; when several
-  /// tasks throw, the lowest index wins (deterministic regardless of
-  /// scheduling). The inline path is a plain serial loop.
+  /// indices throw, the lowest index wins (deterministic regardless of
+  /// scheduling). Without workers, or for one index, it is a plain serial
+  /// loop on the caller.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
@@ -103,7 +85,6 @@ public:
   static ThreadPool& shared(std::size_t threads);
 
 private:
-  bool run_inline() const;
   void worker_loop();
 
   std::mutex mutex_;

@@ -68,11 +68,11 @@ GridIndex::GridIndex(const PointSet& points, double cell_size)
   if (dims == 0) cells_ = 1;
 
   // CSR buckets in two counting passes.
-  cell_of_point_.resize(n);
+  std::vector<std::uint32_t> cell_of_point(n);
   cell_start_.assign(cells_ + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto cell = static_cast<std::uint32_t>(cell_of(points[i]));
-    cell_of_point_[i] = cell;
+    cell_of_point[i] = cell;
     ++cell_start_[cell + 1];
   }
   for (std::size_t c = 0; c < cells_; ++c) cell_start_[c + 1] += cell_start_[c];
@@ -81,7 +81,7 @@ GridIndex::GridIndex(const PointSet& points, double cell_size)
   // Filling in point order keeps every bucket ascending, which is what
   // makes the grid engine's scans deterministic.
   for (std::size_t i = 0; i < n; ++i)
-    point_of_[cursor[cell_of_point_[i]]++] = static_cast<std::uint32_t>(i);
+    point_of_[cursor[cell_of_point[i]]++] = static_cast<std::uint32_t>(i);
 }
 
 std::ptrdiff_t GridIndex::reach_cells(double radius) const {

@@ -40,7 +40,7 @@ public:
   /// size would need more than kMaxCellCount cells.
   GridIndex(const PointSet& points, double cell_size);
 
-  std::size_t size() const { return cell_of_point_.size(); }
+  std::size_t size() const { return point_of_.size(); }
   std::size_t cell_count() const { return cells_; }
 
   /// Cells a grid over `points` with `cell_size` would allocate, or 0 when
@@ -82,7 +82,6 @@ private:
   // cell_start_[c + 1]), ascending within each cell.
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> point_of_;
-  std::vector<std::uint32_t> cell_of_point_;
 };
 
 }  // namespace perftrack::geom

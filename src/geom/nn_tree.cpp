@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace perftrack::geom {
 
@@ -17,9 +18,12 @@ namespace {
 /// 16-point leaves cost up to twice that and measured no faster.
 constexpr std::size_t kLeafSize = 32;
 
+/// Fewest points whose build fans out over a pool.
+constexpr std::size_t kParallelBuildPoints = 4096;
+
 }  // namespace
 
-NnTree::NnTree(const PointSet& points) : points_(points) {
+NnTree::NnTree(const PointSet& points, ThreadPool* pool) : points_(points) {
   const std::size_t n = points.size();
   PT_REQUIRE(n < 0xffffffffull,
              "nearest-neighbour tree limited to < 2^32 points");
@@ -34,17 +38,40 @@ NnTree::NnTree(const PointSet& points) : points_(points) {
   row_.resize(n);
   std::iota(row_.begin(), row_.end(), 0u);
   box_.resize(((std::size_t{2} << depth_) - 1) * 2 * dims);
-  build(0, 0, n, 0);
-
   col_.resize(dims * n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto p = points[row_[s]];
-    for (std::size_t d = 0; d < dims; ++d) col_[d * n + s] = p[d];
-  }
+
+  // Split the levels above `top`, then build each subtree below them and
+  // copy its slots into the leaf columns as one loop index (at least two
+  // subtrees per worker on a pool). A subtree gets the serial build's
+  // nth_element calls on the same slots, so the tree is the same.
+  std::size_t top = 0;
+  if (pool != nullptr && pool->thread_count() > 1 &&
+      n >= kParallelBuildPoints)
+    while (top < depth_ && (std::size_t{1} << top) < 2 * pool->thread_count())
+      ++top;
+  std::vector<Subtree> subtrees;
+  build(0, 0, n, 0, top, &subtrees);
+  const auto finish = [&](std::size_t k) {
+    const auto [node, begin, end] = subtrees[k];
+    build(node, begin, end, top, depth_ + 1, nullptr);
+    for (std::size_t s = begin; s < end; ++s) {
+      const auto p = points[row_[s]];
+      for (std::size_t d = 0; d < dims; ++d) col_[d * n + s] = p[d];
+    }
+  };
+  if (pool != nullptr)
+    pool->parallel_for(0, subtrees.size(), finish);
+  else
+    finish(0);
 }
 
 void NnTree::build(std::size_t node, std::size_t begin, std::size_t end,
-                   std::size_t level) {
+                   std::size_t level, std::size_t cut,
+                   std::vector<Subtree>* deferred) {
+  if (level == cut) {
+    deferred->push_back({node, begin, end});
+    return;
+  }
   const std::size_t dims = points_.dims();
   const std::span<const double> raw = points_.raw();
   double* lo = box_.data() + node * 2 * dims;
@@ -70,8 +97,8 @@ void NnTree::build(std::size_t node, std::size_t begin, std::size_t end,
                    [&](std::uint32_t a, std::uint32_t b) {
                      return raw[a * dims + axis] < raw[b * dims + axis];
                    });
-  build(2 * node + 1, begin, mid, level + 1);
-  build(2 * node + 2, mid, end, level + 1);
+  build(2 * node + 1, begin, mid, level + 1, cut, deferred);
+  build(2 * node + 2, mid, end, level + 1, cut, deferred);
 }
 
 /// One query's walk, shared by the three queries. The visitor supplies

@@ -49,12 +49,18 @@
 
 #include "geom/pointset.hpp"
 
+namespace perftrack {
+class ThreadPool;
+}
+
 namespace perftrack::geom {
 
 class NnTree {
 public:
   /// Build over `points`, which must outlive the tree and stay unchanged.
-  explicit NnTree(const PointSet& points);
+  /// On a `pool` with workers, a large build splits its top levels, then
+  /// builds the subtrees below them in parallel: the same tree.
+  explicit NnTree(const PointSet& points, ThreadPool* pool = nullptr);
 
   std::size_t size() const { return row_.size(); }
   bool empty() const { return row_.empty(); }
@@ -93,8 +99,15 @@ private:
   template <typename Visitor>
   struct Walk;
 
+  struct Subtree {
+    std::size_t node, begin, end;  // a node and its slot range
+  };
+
+  /// Build `node` (slots [begin, end) at `level`) and its subtree; a node
+  /// at level `cut` is appended to `deferred` instead.
   void build(std::size_t node, std::size_t begin, std::size_t end,
-             std::size_t level);
+             std::size_t level, std::size_t cut,
+             std::vector<Subtree>* deferred);
 
   const PointSet& points_;
   std::size_t depth_ = 0;            // every leaf is at this level

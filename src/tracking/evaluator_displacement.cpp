@@ -36,10 +36,10 @@ FrameCloud::FrameCloud(const cluster::Frame& frame,
   }
 }
 
-const geom::NnTree& FrameCloud::index() const {
-  std::call_once(index_once_, [this] {
+const geom::NnTree& FrameCloud::index(ThreadPool* pool) const {
+  std::call_once(index_once_, [this, pool] {
     PT_SPAN("nn_index_build");
-    index_ = std::make_unique<geom::NnTree>(points_);
+    index_ = std::make_unique<geom::NnTree>(points_, pool);
     PT_COUNTER("displacement_trees_built", 1.0);
   });
   return *index_;
@@ -121,7 +121,7 @@ CorrelationMatrix classify(const FrameCloud& from, std::size_t from_count,
   }
 
   const std::size_t n = residual.size();
-  const geom::NnTree* index = n > 0 ? &to.index() : nullptr;
+  const geom::NnTree* index = n > 0 ? &to.index(pool) : nullptr;
   const std::size_t workers = pool ? pool->thread_count() : 1;
   std::size_t chunks = 1;
   if (workers > 1 && n > 0)
@@ -186,31 +186,23 @@ DisplacementResult evaluate_displacement(const cluster::Frame& frame_a,
              "outlier threshold must be in [0,1)");
 
   DisplacementResult out;
-  if (pool && pool->thread_count() > 1) {
-    // Overlap the two directions; each inner sweep additionally chunks
-    // across the pool. Either order of completion yields the same bits.
-    // The worker adopts this span path, so an index build it runs is
-    // recorded inside evaluator_displacement.
-    const std::vector<const char*> here = obs::current_span_path();
-    auto a_to_b = pool->submit([&] {
-      obs::SpanContext ctx(here);
-      return classify(cloud_a, frame_a.object_count(), cloud_b,
-                      frame_b.object_count(), pool);
-    });
-    try {
+  // The two directions run as one loop; either order yields the same bits.
+  // A body on another thread adopts this span path, so an index build it
+  // runs is recorded inside evaluator_displacement.
+  const std::vector<const char*> here = obs::current_span_path();
+  auto direction = [&](std::size_t d) {
+    obs::SpanContext ctx(here);
+    if (d == 0)
+      out.a_to_b = classify(cloud_a, frame_a.object_count(), cloud_b,
+                            frame_b.object_count(), pool);
+    else
       out.b_to_a = classify(cloud_b, frame_b.object_count(), cloud_a,
                             frame_a.object_count(), pool);
-    } catch (...) {
-      a_to_b.wait();  // the task reads the caller's clouds — let it finish
-      throw;
-    }
-    out.a_to_b = a_to_b.get();
-  } else {
-    out.a_to_b = classify(cloud_a, frame_a.object_count(), cloud_b,
-                          frame_b.object_count(), pool);
-    out.b_to_a = classify(cloud_b, frame_b.object_count(), cloud_a,
-                          frame_a.object_count(), pool);
-  }
+  };
+  if (pool)
+    pool->parallel_for(0, 2, direction);
+  else
+    for (std::size_t d = 0; d < 2; ++d) direction(d);
   out.a_to_b.threshold(outlier_threshold);
   out.b_to_a.threshold(outlier_threshold);
   if (obs::enabled()) {

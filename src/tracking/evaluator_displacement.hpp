@@ -12,10 +12,11 @@
 // (geom::NnTree), built the first time a classification sweep has rows
 // to query against that cloud. Most rows never need one: a cluster-level
 // short-circuit resolves every row of a source cluster whose nearest target
-// cluster is provable from the clusters' bounding boxes alone. The sweep
-// over the remaining rows is chunked over the caller's thread pool with a
-// deterministic integer-count fold, so the matrices are bit-identical for
-// every thread count, including 1.
+// cluster is provable from the clusters' bounding boxes alone. On the
+// caller's thread pool the two directions run as one loop, each tree
+// builds its subtrees in parallel, and the sweep over the remaining rows
+// is chunked with a deterministic integer-count fold, so the matrices are
+// bit-identical for every thread count, including 1.
 
 #include <memory>
 #include <mutex>
@@ -59,10 +60,10 @@ public:
   const std::vector<double>& cluster_lo() const { return cluster_lo_; }
   const std::vector<double>& cluster_hi() const { return cluster_hi_; }
 
-  /// The nearest-neighbour index over points(), built on the first call.
-  /// Safe to call from several threads at once: exactly one builds it,
-  /// the others wait for that build.
-  const geom::NnTree& index() const;
+  /// The nearest-neighbour index over points(), built on the first call,
+  /// on `pool` when it has workers. Safe to call from several threads at
+  /// once: exactly one builds it, the others wait for that build.
+  const geom::NnTree& index(ThreadPool* pool) const;
 
 private:
   geom::PointSet points_;  ///< clustered (non-noise) rows only
@@ -79,8 +80,8 @@ struct DisplacementResult {
 };
 
 /// `outlier_threshold` zeroes cells below it (the paper's 5% rule).
-/// `pool` (optional) parallelises the two directions and chunks each
-/// classification sweep; output is bit-identical for any thread count.
+/// `pool` (optional) parallelises the two directions, the index builds and
+/// each classification sweep; output is bit-identical for any thread count.
 DisplacementResult evaluate_displacement(
     const cluster::Frame& frame_a, const cluster::Frame& frame_b,
     const ScaleNormalization& scale, double outlier_threshold = 0.05,

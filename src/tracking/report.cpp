@@ -187,27 +187,17 @@ std::string trends_csv(const TrackingResult& result) {
       "duration_total,l1_miss_per_ki,l2_miss_per_ki,tlb_miss_per_ki,bursts\n";
   for (const TrackedRegion& region : result.regions) {
     if (!region.complete) continue;
-    auto ipc = region_metric_mean(result, region.id, trace::Metric::Ipc);
-    auto instr_mean =
-        region_metric_mean(result, region.id, trace::Metric::Instructions);
-    auto instr_total = region_counter_total(result, region.id,
-                                            trace::Counter::Instructions);
-    auto duration = region_duration_total(result, region.id);
-    auto l1 =
-        region_metric_mean(result, region.id, trace::Metric::L1MissesPerKi);
-    auto l2 =
-        region_metric_mean(result, region.id, trace::Metric::L2MissesPerKi);
-    auto tlb =
-        region_metric_mean(result, region.id, trace::Metric::TlbMissesPerKi);
-    auto bursts = region_burst_count(result, region.id);
+    const RegionTrends t = region_trends(result, region.id);
     for (std::size_t f = 0; f < result.frames.size(); ++f) {
       out += std::to_string(region.id + 1) + "," + std::to_string(f) + "," +
-             result.frames[f].label() + "," + format_double(ipc[f], 5) + "," +
-             format_double(instr_mean[f], 1) + "," +
-             format_double(instr_total[f], 1) + "," +
-             format_double(duration[f], 6) + "," + format_double(l1[f], 5) +
-             "," + format_double(l2[f], 5) + "," + format_double(tlb[f], 5) +
-             "," + std::to_string(bursts[f]) + "\n";
+             result.frames[f].label() + "," + format_double(t.ipc[f], 5) +
+             "," + format_double(t.instructions_mean[f], 1) + "," +
+             format_double(t.instructions_total[f], 1) + "," +
+             format_double(t.duration_total[f], 6) + "," +
+             format_double(t.l1_miss_per_ki[f], 5) + "," +
+             format_double(t.l2_miss_per_ki[f], 5) + "," +
+             format_double(t.tlb_miss_per_ki[f], 5) + "," +
+             std::to_string(t.bursts[f]) + "\n";
     }
   }
   return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -69,6 +70,31 @@ std::vector<std::size_t> region_burst_count(const TrackingResult& result,
       result, region_id,
       [&](std::size_t f, const trace::Burst&) { ++count[f]; });
   return count;
+}
+
+RegionTrends region_trends(const TrackingResult& result, int region_id) {
+  const std::vector<double> zeros(result.frames.size(), 0.0);
+  RegionTrends t{zeros, zeros, zeros, zeros, zeros, zeros, zeros,
+                 std::vector<std::size_t>(zeros.size(), 0)};
+  const std::pair<std::vector<double>*, trace::Metric> means[] = {
+      {&t.ipc, trace::Metric::Ipc},
+      {&t.instructions_mean, trace::Metric::Instructions},
+      {&t.l1_miss_per_ki, trace::Metric::L1MissesPerKi},
+      {&t.l2_miss_per_ki, trace::Metric::L2MissesPerKi},
+      {&t.tlb_miss_per_ki, trace::Metric::TlbMissesPerKi}};
+  for_each_region_burst(
+      result, region_id, [&](std::size_t f, const trace::Burst& b) {
+        for (const auto& [column, metric] : means)
+          (*column)[f] += trace::evaluate_metric(b, metric);
+        t.instructions_total[f] += b.counters.get(trace::Counter::Instructions);
+        t.duration_total[f] += b.duration;
+        ++t.bursts[f];
+      });
+  for (std::size_t f = 0; f < zeros.size(); ++f)
+    if (t.bursts[f] > 0)
+      for (const auto& mean : means)
+        (*mean.first)[f] /= static_cast<double>(t.bursts[f]);
+  return t;
 }
 
 std::vector<double> relative_to_first(const std::vector<double>& series) {

@@ -33,6 +33,16 @@ std::vector<double> region_duration_total(const TrackingResult& result,
 std::vector<std::size_t> region_burst_count(const TrackingResult& result,
                                             int region_id);
 
+/// The eight per-frame columns of trends_csv for one region, filled in one
+/// walk over its bursts. Each column sums in the same burst order as its
+/// helper above, so it equals that helper's series bit for bit.
+struct RegionTrends {
+  std::vector<double> ipc, instructions_mean, instructions_total,
+      duration_total, l1_miss_per_ki, l2_miss_per_ki, tlb_miss_per_ki;
+  std::vector<std::size_t> bursts;
+};
+RegionTrends region_trends(const TrackingResult& result, int region_id);
+
 /// series / series[0] (1.0-based index chart); zeros stay zero.
 std::vector<double> relative_to_first(const std::vector<double>& series);
 

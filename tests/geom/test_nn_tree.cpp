@@ -11,6 +11,7 @@
 // prune or a box that rounds past its points would silently drop or swap a
 // row: duplicates, ties across a split, points on a box face or exactly on
 // the radius, hints that tie with a lower row, and non-finite coordinates.
+// A build on a pool must give the serial build's answers to every query.
 
 #include "geom/nn_tree.hpp"
 
@@ -23,6 +24,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "testing/kdtree.hpp"
 
 namespace perftrack::geom {
@@ -429,6 +431,63 @@ TEST(NnTreeTest, QuantisedCoordinatesWithManyTies) {
             << dims << "-D";
     }
   }
+}
+
+/// Blobs of lattice points: six clusters whose coordinates are multiples of
+/// 1/64, so the cloud holds many duplicates and exact distance ties, the
+/// shapes where a subtree partitioned differently would answer differently.
+PointSet lattice_blobs(std::size_t n, std::size_t dims, Rng& rng) {
+  std::vector<std::vector<double>> centres(6, std::vector<double>(dims));
+  for (auto& centre : centres)
+    for (auto& c : centre) c = std::floor(rng.uniform(0.0, 64.0)) / 64.0;
+  PointSet points(dims);
+  std::vector<double> coords(dims);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double>& centre = centres[i % centres.size()];
+    for (std::size_t d = 0; d < dims; ++d)
+      coords[d] = centre[d] + std::floor(rng.uniform(-6.0, 6.0)) / 64.0;
+    points.add(coords);
+  }
+  return points;
+}
+
+/// Queries at every point and half a lattice step off it (equidistant from
+/// neighbouring lattice points): a tree built on pools of 2, 4 and 8
+/// threads gives the serial build's nearest (with and without a hint),
+/// radius and k-nearest answers to each.
+void expect_parallel_build_answers_as_serial(std::size_t n, std::size_t dims) {
+  Rng rng(40 + dims);
+  const PointSet points = lattice_blobs(n, dims, rng);
+  const NnTree serial(points);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    const NnTree built(points, &pool);
+    ASSERT_EQ(built.size(), serial.size());
+    std::size_t mismatches = 0;
+    std::vector<double> query(dims);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (double offset : {0.0, 0.5 / 64.0}) {
+        for (std::size_t d = 0; d < dims; ++d)
+          query[d] = points[i][d] + offset;
+        const std::size_t hint = (i * 7919) % points.size();
+        if (built.nearest(query) != serial.nearest(query) ||
+            built.nearest(query, hint) != serial.nearest(query, hint) ||
+            radius_of(built, query, 1.5 / 64.0) !=
+                radius_of(serial, query, 1.5 / 64.0) ||
+            built.k_nearest(query, 8) != serial.k_nearest(query, 8))
+          ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << dims << "-D, " << threads << " threads";
+  }
+}
+
+TEST(NnTreeParallelBuild, LatticeBlobsIn2DAnswerAsTheSerialBuild) {
+  expect_parallel_build_answers_as_serial(5000, 2);
+}
+
+TEST(NnTreeParallelBuild, LatticeBlobsIn3DAnswerAsTheSerialBuild) {
+  expect_parallel_build_answers_as_serial(4500, 3);
 }
 
 }  // namespace

@@ -181,6 +181,35 @@ TEST(ParallelTrackingTest, PipelineClusteringMatchesSerial) {
   expect_identical(serial, parallel, "session threads=4");
 }
 
+TEST(ParallelTrackingTest, SessionOverLargeCloudsMatchesSerial) {
+  // CGPOP's frames each cluster more than 4,096 bursts, so their trees
+  // build in parallel, and its interior frames' trees are wanted by both
+  // adjacent pairs at once: 4 threads must give the 1-thread bytes.
+  const sim::Study study = sim::study_cgpop();
+  auto run = [&](std::size_t threads) {
+    SessionConfig config;
+    config.clustering = study.clustering;
+    config.tracking.threads = threads;
+    TrackingSession session(config);
+    for (const auto& trace : study.traces) session.append_experiment(trace);
+    return session.retrack();
+  };
+  const TrackingResult serial = run(1);
+  ASSERT_GE(serial.frames.size(), 3u);
+  for (const cluster::Frame& frame : serial.frames) {
+    std::size_t clustered = 0;
+    for (std::size_t o = 0; o < frame.object_count(); ++o)
+      clustered += frame.object(o).rows.size();
+    EXPECT_GT(clustered, 4096u) << frame.label();
+  }
+  for (int round = 0; round < 3; ++round) {
+    const TrackingResult parallel = run(4);
+    EXPECT_EQ(describe_tracking(serial), describe_tracking(parallel))
+        << "round " << round;
+    EXPECT_EQ(trends_csv(serial), trends_csv(parallel)) << "round " << round;
+  }
+}
+
 TEST(ParallelTrackingTest, ThreadCountZeroMeansAuto) {
   TrackingResult serial = run_session(1);
   TrackingResult any = run_session(0);  // hardware concurrency

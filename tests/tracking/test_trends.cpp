@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/studies.hpp"
 #include "testing/test_traces.hpp"
 #include "tracking/report.hpp"
 
@@ -71,6 +72,39 @@ TEST(TrendsTest, BurstCounts) {
   auto counts = region_burst_count(result, 0);
   EXPECT_EQ(counts[0], 20u);
   EXPECT_EQ(counts[1], 20u);
+}
+
+TEST(TrendsTest, OneWalkColumnsEqualTheirHelpersBitForBit) {
+  // A study with noisy bursts, so each column's sum depends on its order.
+  const sim::Study study = sim::study_gromacs_scaling();
+  const TrackingResult result = track_frames(study.frames(), {});
+  ASSERT_GT(result.complete_count, 0u);
+  using trace::Metric;
+  for (const TrackedRegion& region : result.regions) {
+    const int id = region.id;
+    const RegionTrends t = region_trends(result, id);
+    const std::string where = "region " + std::to_string(id);
+    // vector<double>'s operator== compares elements with ==, so a column
+    // that differs from its helper in the last bit fails.
+    EXPECT_EQ(t.ipc, region_metric_mean(result, id, Metric::Ipc)) << where;
+    EXPECT_EQ(t.instructions_mean,
+              region_metric_mean(result, id, Metric::Instructions))
+        << where;
+    EXPECT_EQ(t.instructions_total,
+              region_counter_total(result, id, trace::Counter::Instructions))
+        << where;
+    EXPECT_EQ(t.duration_total, region_duration_total(result, id)) << where;
+    EXPECT_EQ(t.l1_miss_per_ki,
+              region_metric_mean(result, id, Metric::L1MissesPerKi))
+        << where;
+    EXPECT_EQ(t.l2_miss_per_ki,
+              region_metric_mean(result, id, Metric::L2MissesPerKi))
+        << where;
+    EXPECT_EQ(t.tlb_miss_per_ki,
+              region_metric_mean(result, id, Metric::TlbMissesPerKi))
+        << where;
+    EXPECT_EQ(t.bursts, region_burst_count(result, id)) << where;
+  }
 }
 
 TEST(TrendsTest, RelativeHelpers) {
